@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check fuzz fuzz-wire bench bench-smoke bench-compare bench-loopback bench-e14 sweep-e14 chaos chaos-socket replication-chaos migration-chaos serve-demo serve-replicated shard-smoke load-smoke load-chaos sweep-e15 sweep-e16 ci
+.PHONY: all build test race vet fmt-check fuzz fuzz-wire bench bench-smoke bench-compare bench-loopback bench-check chaos chaos-socket replication-chaos migration-chaos serve-demo serve-replicated shard-smoke load-smoke load-chaos sweep-e15 sweep-e16 ci
 
 all: build test
 
@@ -62,14 +62,11 @@ chaos-socket:
 bench-loopback:
 	$(GO) test -run NONE -bench 'BenchmarkE12_LoopbackTCP' -benchtime=3x -count=1 .
 
-# One iteration of the E14 codec/batching matrix: proves every wire-protocol
-# configuration still converges under bench load (PR-path smoke).
-bench-e14:
-	$(GO) test -run NONE -bench 'BenchmarkE14' -benchtime=1x -count=1 .
-
-# Full E14 sweep; writes BENCH_e14_baseline.txt for the nightly gate.
-sweep-e14:
-	scripts/sweep_pipeline.sh
+# bench/ is a Go module of its own (BENCHMARK.json's benchmark), so build,
+# vet and test above never compile it: check it against the packages it
+# imports (wire, client, server, css) whenever those change.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Short seeded leader-kill chaos run: a 3-node replicated cluster with 4 TCP
 # clients through the fault proxy, the leader fail-stopped mid-edit, failover
@@ -123,4 +120,4 @@ load-chaos:
 sweep-e15:
 	scripts/sweep_load.sh
 
-ci: fmt-check vet build test race fuzz-wire chaos-socket replication-chaos migration-chaos serve-demo serve-replicated shard-smoke load-smoke
+ci: fmt-check vet build test bench-check race fuzz-wire chaos-socket replication-chaos migration-chaos serve-demo serve-replicated shard-smoke load-smoke

@@ -1057,218 +1057,3 @@ func BenchmarkE13_SocketLossSweep(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkE14_WireCodec sweeps the wire-protocol generations end to end
-// (E14, EXPERIMENTS.md): jupiterd on loopback with 16 TCP clients running
-// the E12 workload under four codec/batching configurations —
-//
-//	json-v1        protocol v1 exactly: JSON frames, no batching, no window
-//	json-batch     negotiated JSON with opb/srvb batching and the send window
-//	binary-nobatch binary codec + compact contexts, one frame per op
-//	binary-batch   the full v2 stack (the default configuration)
-//
-// — so each layer's contribution (codec, batching, pipelining window) is
-// separable. All 16 writers share one document, so Algorithm 1 ladder
-// depth dominates (E12) and the wire win is Amdahl-capped here; the
-// acceptance bar for codec v2 lives in BenchmarkE14_Throughput, where
-// the wire path is the bottleneck.
-func BenchmarkE14_WireCodec(b *testing.B) {
-	const opsEach = 25
-	configs := []struct {
-		name   string
-		srv    server.Config
-		client func(c *netclient.Config)
-	}{
-		{"json-v1", server.Config{BatchMax: -1},
-			func(c *netclient.Config) { c.NoBatch = true; c.Window = -1 }},
-		{"json-batch", server.Config{Codec: "json"},
-			func(c *netclient.Config) {}},
-		{"binary-nobatch", server.Config{BatchMax: -1},
-			func(c *netclient.Config) { c.BatchOps = -1; c.Window = -1 }},
-		{"binary-batch", server.Config{},
-			func(c *netclient.Config) {}},
-	}
-	for _, cfg := range configs {
-		for _, n := range []int{4, 16} {
-			b.Run(fmt.Sprintf("cfg=%s/clients=%d", cfg.name, n), func(b *testing.B) {
-				benchE14Run(b, cfg.srv, cfg.client, n, opsEach)
-			})
-		}
-	}
-}
-
-// BenchmarkE14_Pipeline sweeps the client send window under the full v2
-// stack at 16 clients: window=1 is stop-and-wait (every op pays a round
-// trip and the server never batches), larger windows trade op-context lag
-// (deeper transformation ladders, E12) for pipelining.
-func BenchmarkE14_Pipeline(b *testing.B) {
-	const opsEach = 25
-	for _, w := range []int{1, 8, 64, 256} {
-		b.Run(fmt.Sprintf("window=%d/clients=16", w), func(b *testing.B) {
-			benchE14Run(b, server.Config{}, func(c *netclient.Config) { c.Window = w }, 16, opsEach)
-		})
-	}
-}
-
-// BenchmarkE14_Throughput measures server wire capacity: 16 clients each
-// editing their own document, so transformation ladders stay trivial and
-// the wire/dispatch path — the thing codec v2 optimizes — is the
-// bottleneck. This is the many-documents shape of the roadmap's scale
-// target (heavy traffic spread across docs), complementing the
-// WireCodec matrix where 16 writers share one doc and Algorithm 1
-// ladder depth dominates (E12). ops/sec is 1e9/(ns/op-applied); the
-// acceptance bar for codec v2 is binary-batch >= 2x json-v1 here.
-func BenchmarkE14_Throughput(b *testing.B) {
-	const opsEach = 100
-	configs := []struct {
-		name   string
-		srv    server.Config
-		client func(c *netclient.Config)
-	}{
-		{"json-v1", server.Config{BatchMax: -1},
-			func(c *netclient.Config) { c.NoBatch = true; c.Window = -1 }},
-		{"binary-batch", server.Config{},
-			func(c *netclient.Config) {}},
-	}
-	for _, cfg := range configs {
-		b.Run(fmt.Sprintf("cfg=%s/clients=16/docs=16", cfg.name), func(b *testing.B) {
-			benchE14MultiDoc(b, cfg.srv, cfg.client, 16, opsEach)
-		})
-	}
-}
-
-// benchE14MultiDoc is benchE14Run with one document per client: the
-// barrier waits for each doc's own server seq (opsEach ops per doc).
-func benchE14MultiDoc(b *testing.B, srvCfg server.Config, tweak func(*netclient.Config), n, opsEach int) {
-	srvCfg.Addr = "127.0.0.1:0"
-	eng := server.New(srvCfg)
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = eng.Shutdown(ctx)
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cs := make([]*netclient.Client, n)
-		for j := range cs {
-			ccfg := netclient.Config{
-				Addr: eng.Addr(),
-				Doc:  fmt.Sprintf("e14t-%d-%d", i, j),
-				Seed: int64(j + 1),
-			}
-			tweak(&ccfg)
-			c, err := netclient.Dial(ccfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cs[j] = c
-		}
-		b.StartTimer()
-		var wg sync.WaitGroup
-		for j, c := range cs {
-			wg.Add(1)
-			go func(j int, c *netclient.Client) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(int64(i*1000 + j + 1)))
-				for k := 0; k < opsEach; k++ {
-					doc := c.Document()
-					if len(doc) > 0 && r.Float64() < 0.3 {
-						if err := c.Delete(r.Intn(len(doc))); err != nil {
-							b.Error(err)
-							return
-						}
-					} else {
-						if err := c.Insert(rune('a'+k%26), r.Intn(len(doc)+1)); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}
-				if err := c.WaitServerSeq(ctx, uint64(opsEach)); err != nil {
-					b.Error(err)
-				}
-			}(j, c)
-		}
-		wg.Wait()
-		b.StopTimer()
-		for _, c := range cs {
-			_ = c.Close()
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*opsEach), "ns/op-applied")
-}
-
-// benchE14Run is one E14 configuration: n clients on one doc per iteration,
-// random ins/del workload, timed to full convergence (write barrier via
-// WaitServerSeq on every replica).
-func benchE14Run(b *testing.B, srvCfg server.Config, tweak func(*netclient.Config), n, opsEach int) {
-	srvCfg.Addr = "127.0.0.1:0"
-	eng := server.New(srvCfg)
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = eng.Shutdown(ctx)
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		doc := fmt.Sprintf("e14-%d-%d", n, i)
-		cs := make([]*netclient.Client, n)
-		for j := range cs {
-			ccfg := netclient.Config{Addr: eng.Addr(), Doc: doc, Seed: int64(j + 1)}
-			tweak(&ccfg)
-			c, err := netclient.Dial(ccfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cs[j] = c
-		}
-		b.StartTimer()
-		var wg sync.WaitGroup
-		for j, c := range cs {
-			wg.Add(1)
-			go func(j int, c *netclient.Client) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(int64(i*1000 + j + 1)))
-				for k := 0; k < opsEach; k++ {
-					doc := c.Document()
-					if len(doc) > 0 && r.Float64() < 0.3 {
-						if err := c.Delete(r.Intn(len(doc))); err != nil {
-							b.Error(err)
-							return
-						}
-					} else {
-						if err := c.Insert(rune('a'+k%26), r.Intn(len(doc)+1)); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}
-			}(j, c)
-		}
-		wg.Wait()
-		for _, c := range cs {
-			if err := c.WaitServerSeq(ctx, uint64(n*opsEach)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		for _, c := range cs {
-			_ = c.Close()
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*opsEach), "ns/op-applied")
-}

@@ -57,8 +57,6 @@ func run(args []string) error {
 		pace      = fs.Duration("pace", 2*time.Millisecond, "pause between generated operations")
 		dropAfter = fs.Int("drop-after", 0, "forcibly drop the connection after this many ops (0 = never)")
 		waitSeq   = fs.Uint64("wait-seq", 0, "block until the replica has processed this global sequence number")
-		codec     = fs.String("codec", "", "wire codec to offer: empty (binary preferred) or json")
-		noBatch   = fs.Bool("no-batch", false, "speak protocol v1: JSON only, one frame per op (interop testing)")
 		timeout   = fs.Duration("timeout", 30*time.Second, "overall deadline for barriers")
 		status    = fs.String("status", "", "query this metrics address (host:port) for replication status and exit")
 		placeDump = fs.String("placement", "", "query this jupiterplace HTTP address (host:port) for the routing table and per-shard doc counts, then exit")
@@ -87,7 +85,7 @@ func run(args []string) error {
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
-	cfg := client.Config{Addrs: addrs, Doc: *doc, Codec: *codec, NoBatch: *noBatch, Placement: *route}
+	cfg := client.Config{Addrs: addrs, Doc: *doc, Placement: *route}
 	if *verbose {
 		cfg.Logf = log.Printf
 	}
@@ -171,9 +169,6 @@ func printStatus(metricsAddr string, timeout time.Duration) error {
 	fmt.Printf("failovers     %d\n", num("failovers_total"))
 	fmt.Printf("not_leader    %d rejected hellos\n", num("not_leader_rejects_total"))
 	fmt.Printf("clients       %d connected, %d docs open\n", num("clients_connected"), num("docs_open"))
-	fmt.Printf("codec         %d binary, %d json, %d v1 conns\n",
-		num("conns_codec_binary_total"), num("conns_codec_json_total"),
-		num("connections_total")-num("conns_codec_binary_total")-num("conns_codec_json_total"))
 	fmt.Printf("batching      %d batch frames, %d ops applied\n",
 		num("batch_frames_total"), num("ops_applied"))
 	fmt.Printf("migrations    %d out, %d in, %d failed, %d moved hints\n",

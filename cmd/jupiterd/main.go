@@ -68,8 +68,6 @@ func run(args []string) error {
 		addr        = fs.String("addr", "127.0.0.1:9170", "TCP listen address for the wire protocol")
 		metricsAddr = fs.String("metrics", "127.0.0.1:9171", "HTTP listen address for metrics JSON (empty to disable)")
 		maxFrame    = fs.Int("max-frame", 0, "maximum wire frame size in bytes (0 = default)")
-		codec       = fs.String("codec", "", "wire codec to negotiate: empty (binary preferred) or json (pin every connection to JSON)")
-		batchMax    = fs.Int("batch-ops", 0, "max srv frames coalesced per batch frame (0 = 32, negative = batching off)")
 		sendQueue   = fs.Int("send-queue", 0, "per-client outbound queue capacity (0 = default)")
 		gcEvery     = fs.Int("gc-every", 0, "advance the state-space GC frontier every N applied ops (0 = never; must match across a cluster)")
 		nodeID      = fs.String("node-id", "", "this node's id within -peers (replicated mode)")
@@ -99,8 +97,6 @@ func run(args []string) error {
 		Addr:        *addr,
 		MetricsAddr: *metricsAddr,
 		MaxFrame:    *maxFrame,
-		Codec:       *codec,
-		BatchMax:    *batchMax,
 		SendQueue:   *sendQueue,
 		GCEvery:     *gcEvery,
 		NodeID:      *nodeID,

@@ -61,9 +61,7 @@ func run(args []string, stdout *os.File) error {
 		writers  = fs.Float64("writer-frac", 0.9, "fraction of sessions that write (rest read)")
 		zipfS    = fs.Float64("zipf", 1.2, "zipf skew of document popularity (≤1 = uniform)")
 		seed     = fs.Int64("seed", 1, "deterministic seed for schedules and assignment")
-		codec    = fs.String("codec", "", "wire codec preference (\"\", \"json\", \"binary\")")
 		window   = fs.Int("window", 0, "client in-flight op window (0 = client default)")
-		batch    = fs.Int("batch", 0, "client max ops per frame (0 = client default)")
 		specN    = fs.Int("spec-sample", 0, "documents recording histories for the drain-time weak-spec check (0 = min(2,docs), -1 = off)")
 		specCap  = fs.Int("spec-max-events", 0, "event cap per sampled history (overflow = check skipped)")
 		debt     = fs.Duration("debt-threshold", 5*time.Millisecond, "dispatch lateness counted as coordinated-omission debt")
@@ -118,9 +116,7 @@ func run(args []string, stdout *os.File) error {
 		SpecMaxEvents: *specCap,
 		DebtThreshold: *debt,
 		MetricsAddr:   *metrics,
-		Codec:         *codec,
 		Window:        *window,
-		BatchOps:      *batch,
 		ProgressEvery: *every,
 		SLO: loadgen.SLO{
 			P99:          *sloP99,

@@ -70,22 +70,11 @@ type Config struct {
 	Doc string
 	// MaxFrame caps wire frames (0 = wire.DefaultMaxFrame).
 	MaxFrame int
-	// Codec caps what the client offers in its Hello: "json" pins the
-	// session to the JSON codec; "" offers binary first with JSON fallback.
-	// The server picks; both sides then speak the selection.
-	Codec string
-	// NoBatch makes the client speak protocol v1 exactly: no codec offer,
-	// no op batches, one frame per operation. Interop tests use it; there is
-	// no reason to set it otherwise.
-	NoBatch bool
 	// Window bounds operations in flight (sent but not yet acknowledged) on
 	// one connection; further ops wait in the resend buffer until acks make
 	// room. Bounding the window bounds the server's transformation-ladder
-	// depth under load (E12). 0 = 64; negative = unbounded (v1 behavior).
+	// depth under load (E12). 0 = 64; negative = unbounded.
 	Window int
-	// BatchOps bounds operations coalesced into one opb frame (0 = 16;
-	// values below 2 or NoBatch disable coalescing).
-	BatchOps int
 	// DialTimeout bounds one dial attempt (0 = 5s).
 	DialTimeout time.Duration
 	// MinBackoff/MaxBackoff bound the reconnect backoff (0 = 25ms / 2s).
@@ -133,15 +122,8 @@ func (c *Config) window() int {
 	return c.Window
 }
 
-func (c *Config) batchOps() int {
-	if c.NoBatch || c.BatchOps < 0 {
-		return 1
-	}
-	if c.BatchOps == 0 {
-		return 16
-	}
-	return c.BatchOps
-}
+// batchOps bounds operations coalesced into one opb frame.
+const batchOps = 16
 
 func (c *Config) dialTimeout() time.Duration {
 	if c.DialTimeout <= 0 {
@@ -178,7 +160,6 @@ type Client struct {
 	movedAddrs   []string        // Moved-hint addresses superseding cfg's list (no placement cache)
 	resend       []css.ClientMsg // generated, not yet protocol-acked, in order
 	sentN        int             // prefix of resend shipped on this connection
-	srvV2        bool            // server negotiated (understands opb frames)
 	lastFrameSeq uint64          // last server frame applied (resume point)
 	serverSeq    uint64          // highest global op sequence processed
 	connGen      int             // bumped on every successful handshake
@@ -362,10 +343,7 @@ func (c *Client) connect() error {
 	codec := wire.NewStream(nc, c.cfg.MaxFrame)
 
 	c.mu.Lock()
-	hello := wire.Hello{Doc: c.cfg.Doc, Shard: shard}
-	if !c.cfg.NoBatch {
-		hello.Codecs = wire.PreferredCodecs(c.cfg.Codec)
-	}
+	hello := wire.Hello{Doc: c.cfg.Doc, Shard: shard, Codecs: []string{wire.CodecBinary}}
 	if c.replica != nil {
 		hello.ClientID = int32(c.id)
 		hello.LastFrameSeq = c.lastFrameSeq
@@ -438,6 +416,8 @@ func (c *Client) connect() error {
 			nc.Close()
 			return fmt.Errorf("client: root from snapshot: %w", err)
 		}
+		// Compact contexts: O(1) per op instead of one id per concurrent op.
+		replica.UseCompactContexts()
 		c.replica = replica
 		c.id = opid.ClientID(f.Welcome.ClientID)
 		// Everything in the snapshot is already serialized; reads of it are
@@ -448,22 +428,11 @@ func (c *Client) connect() error {
 		nc.Close()
 		return fmt.Errorf("client: expected resume welcome")
 	}
-	// Adopt the server's codec selection for our own sends (frames
-	// self-identify, so the switch needs no synchronization with reads).
-	// Compact contexts ride along with the binary codec: O(1) context
-	// instead of one id per concurrent op.
-	if cd, ok := wire.Lookup(f.Welcome.Codec); ok {
-		codec.Use(cd)
-	}
-	if f.Welcome.Codec == wire.CodecBinary {
-		c.replica.UseCompactContexts()
-	}
 	c.nc = nc
 	c.codec = codec
 	c.connected = true
 	c.connGen++
 	c.sentN = 0
-	c.srvV2 = f.Welcome.Codec != ""
 	pending := len(c.resend)
 	c.cond.Broadcast()
 	c.mu.Unlock()
@@ -476,10 +445,10 @@ func (c *Client) connect() error {
 }
 
 // pump ships generated-but-unsent operations, oldest first, while the send
-// window has room: up to BatchOps per frame, as one opb batch when the server
-// understands them. It is called after anything that creates work (a local
-// edit, a reconnect) or room (an ack). Writes happen with writeMu acquired
-// under mu, so concurrent pumps leave the wire in generation order.
+// window has room: up to batchOps per frame, as one opb batch. It is called
+// after anything that creates work (a local edit, a reconnect) or room (an
+// ack). Writes happen with writeMu acquired under mu, so concurrent pumps
+// leave the wire in generation order.
 func (c *Client) pump() {
 	for {
 		c.mu.Lock()
@@ -491,11 +460,8 @@ func (c *Client) pump() {
 		if room := c.cfg.window() - c.sentN; n > room {
 			n = room
 		}
-		if bo := c.cfg.batchOps(); n > bo {
-			n = bo
-		}
-		if !c.srvV2 && n > 1 {
-			n = 1 // v1 server: one op per frame
+		if n > batchOps {
+			n = batchOps
 		}
 		if n <= 0 {
 			c.mu.Unlock()

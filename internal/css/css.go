@@ -201,6 +201,13 @@ func (c *Client) ID() opid.ClientID { return c.id }
 // immediately, save along a new (pending) transition, and return the message
 // to propagate to the server.
 func (c *Client) GenerateIns(val rune, pos int) (ClientMsg, error) {
+	// Checked before a sequence number is consumed and a pending transition
+	// saved (GenerateDel's lookup below does the same): a refused edit must
+	// leave the replica as it was, or the next operation reaches the server
+	// with a gap in this client's sequence.
+	if n := c.doc.Len(); pos < 0 || pos > n {
+		return ClientMsg{}, fmt.Errorf("%s: generate ins: %w: insert at %d, len %d", c.name, list.ErrPosOutOfRange, pos, n)
+	}
 	c.nextSeq++
 	op := ot.Ins(val, pos, opid.OpID{Client: c.id, Seq: c.nextSeq})
 	return c.generate(op)

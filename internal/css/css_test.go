@@ -493,3 +493,55 @@ func TestReceiveRejectionAtomic(t *testing.T) {
 		t.Fatalf("server doc %q, want %q", got, "ab")
 	}
 }
+
+// TestGenerateRejectionAtomic pins down that a refused local edit leaves the
+// client replica untouched. An out-of-range position must fail before a
+// sequence number is consumed or a pending transition saved; otherwise the
+// next valid operation carries a sequence the server sees as a gap and a
+// context naming an operation that never existed.
+func TestGenerateRejectionAtomic(t *testing.T) {
+	srv := css.NewServer([]opid.ClientID{1}, nil, nil)
+	cl := css.NewClient(1, nil, nil)
+	m1, err := cl.GenerateIns('a', 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, edges := cl.Space().NumStates(), cl.Space().NumEdges()
+
+	if _, err := cl.GenerateIns('x', 5); !errors.Is(err, list.ErrPosOutOfRange) {
+		t.Fatalf("insert past the end: %v, want ErrPosOutOfRange", err)
+	}
+	if _, err := cl.GenerateIns('x', -1); !errors.Is(err, list.ErrPosOutOfRange) {
+		t.Fatalf("insert at -1: %v, want ErrPosOutOfRange", err)
+	}
+	if _, err := cl.GenerateDel(1); !errors.Is(err, list.ErrPosOutOfRange) {
+		t.Fatalf("delete past the end: %v, want ErrPosOutOfRange", err)
+	}
+	if got := cl.Space().NumStates(); got != states {
+		t.Fatalf("refused edits added states: %d, want %d", got, states)
+	}
+	if got := cl.Space().NumEdges(); got != edges {
+		t.Fatalf("refused edits added edges: %d, want %d", got, edges)
+	}
+	if got := list.Render(cl.Document()); got != "a" {
+		t.Fatalf("refused edits changed the document: %q, want %q", got, "a")
+	}
+
+	// The next valid operation takes the next sequence number, and the
+	// server accepts the pair with no gap.
+	m2, err := cl.GenerateIns('b', 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2.Op.ID.Seq != m1.Op.ID.Seq+1 {
+		t.Fatalf("refused edits consumed sequence numbers: next op is seq %d after %d", m2.Op.ID.Seq, m1.Op.ID.Seq)
+	}
+	for _, m := range []css.ClientMsg{m1, m2} {
+		if _, err := srv.Receive(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := list.Render(srv.Document()); got != "ab" {
+		t.Fatalf("server doc %q, want %q", got, "ab")
+	}
+}

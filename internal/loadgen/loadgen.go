@@ -112,10 +112,8 @@ type Config struct {
 	// MetricsAddr, when non-empty, is the jupiterd metrics endpoint to
 	// scrape at drain time for server-side apply/queue latency.
 	MetricsAddr string
-	// Codec / Window / BatchOps pass through to internal/client.
-	Codec    string
-	Window   int
-	BatchOps int
+	// Window passes through to internal/client.
+	Window int
 	// Progress, when non-nil, receives live one-line status updates.
 	Progress io.Writer
 	// ProgressEvery paces progress output and OnProgress (0 = 5s).
@@ -490,9 +488,7 @@ func (g *gen) setup() error {
 				Seed:           cfg.seed()*10000 + int64(pc.doc) + 1,
 				MinBackoff:     10 * time.Millisecond,
 				MaxBackoff:     500 * time.Millisecond,
-				Codec:          cfg.Codec,
 				Window:         cfg.Window,
-				BatchOps:       cfg.BatchOps,
 				OnAck:          func(id opid.OpID, _ uint64) { pc.onAck(&g.st, id) },
 				Logf:           cfg.Logf,
 			}

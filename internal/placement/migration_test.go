@@ -319,7 +319,7 @@ func TestWrongShardReject(t *testing.T) {
 	defer nc.Close()
 	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
 	st := wire.NewStream(nc, 0)
-	if err := st.Write(&wire.Frame{Type: wire.THello, Hello: &wire.Hello{Doc: "d", Shard: "s9"}}); err != nil {
+	if err := st.Write(&wire.Frame{Type: wire.THello, Hello: &wire.Hello{Doc: "d", Shard: "s9", Codecs: []string{wire.CodecBinary}}}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := st.Read()

@@ -2,160 +2,22 @@ package server_test
 
 import (
 	"context"
-	"fmt"
+	"errors"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"jupiter/internal/client"
 	"jupiter/internal/server"
+	"jupiter/internal/wire"
 )
 
-// Codec negotiation and fallback matrix. The wire protocol has three kinds
-// of peers now — v1 (JSON, no batching), v2-JSON (negotiated JSON with batch
-// frames), and v2-binary — and every pairing must converge. These tests run
-// the same two-client edit workload under each server×client codec
-// configuration and assert both convergence and that the negotiated codec
-// was what the configuration demands (via the per-codec connection
-// counters).
-
-// runCodecPair drives two clients with the given configs against one engine
-// and returns the engine's metrics after a full sync barrier.
-func runCodecPair(t *testing.T, srvCfg server.Config, mk func(addr string, i int) client.Config) map[string]int64 {
-	t.Helper()
-	srvCfg.Addr = "127.0.0.1:0"
-	eng := server.New(srvCfg)
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := eng.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
-
-	const opsEach = 25
-	clients := make([]*client.Client, 2)
-	for i := range clients {
-		c, err := client.Dial(mk(eng.Addr(), i))
-		if err != nil {
-			t.Fatalf("dial client %d: %v", i, err)
-		}
-		clients[i] = c
-		defer c.Close()
-	}
-	for j := 0; j < opsEach; j++ {
-		for i, c := range clients {
-			if err := c.Insert(rune('a'+i), len(c.Document())); err != nil {
-				t.Fatalf("client %d insert: %v", i, err)
-			}
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	total := uint64(len(clients) * opsEach)
-	for i, c := range clients {
-		if err := c.Sync(ctx); err != nil {
-			t.Fatalf("client %d sync: %v", i, err)
-		}
-	}
-	for i, c := range clients {
-		if err := c.WaitServerSeq(ctx, total); err != nil {
-			t.Fatalf("client %d wait: %v", i, err)
-		}
-	}
-	if clients[0].Text() != clients[1].Text() {
-		t.Fatalf("divergence:\n c0: %q\n c1: %q", clients[0].Text(), clients[1].Text())
-	}
-	st, ok := eng.DocState("codec-doc")
-	if !ok {
-		t.Fatal("document not hosted")
-	}
-	if st.Text != clients[0].Text() {
-		t.Fatalf("server text %q != client text %q", st.Text, clients[0].Text())
-	}
-	m := make(map[string]int64)
-	for k, v := range eng.Metrics().Snapshot() {
-		if n, ok := v.(int64); ok {
-			m[k] = n
-		}
-	}
-	return m
-}
-
-func clientCfg(addr string, i int) client.Config {
-	return client.Config{Addr: addr, Doc: "codec-doc", Seed: int64(100 + i)}
-}
-
-func TestCodecNegotiationBinary(t *testing.T) {
-	m := runCodecPair(t, server.Config{}, clientCfg)
-	if m["conns_codec_binary_total"] < 2 {
-		t.Errorf("want both connections negotiated binary, counters: binary=%d json=%d",
-			m["conns_codec_binary_total"], m["conns_codec_json_total"])
-	}
-	if m["batch_frames_total"] == 0 {
-		t.Log("note: no srvb batches formed (load too light to coalesce)")
-	}
-}
-
-func TestCodecFallbackJSONServer(t *testing.T) {
-	// Binary-offering clients against a server pinned to JSON: the server
-	// must select JSON, and batching still works (srvb has a JSON rendering).
-	m := runCodecPair(t, server.Config{Codec: "json"}, clientCfg)
-	if m["conns_codec_json_total"] < 2 || m["conns_codec_binary_total"] != 0 {
-		t.Errorf("want JSON selected for every connection, counters: binary=%d json=%d",
-			m["conns_codec_binary_total"], m["conns_codec_json_total"])
-	}
-}
-
-func TestCodecFallbackJSONClient(t *testing.T) {
-	// JSON-only clients against a binary-capable server: the offer rules.
-	m := runCodecPair(t, server.Config{}, func(addr string, i int) client.Config {
-		c := clientCfg(addr, i)
-		c.Codec = "json"
-		return c
-	})
-	if m["conns_codec_json_total"] < 2 || m["conns_codec_binary_total"] != 0 {
-		t.Errorf("want JSON selected for every connection, counters: binary=%d json=%d",
-			m["conns_codec_binary_total"], m["conns_codec_json_total"])
-	}
-}
-
-func TestCodecV1ClientInterop(t *testing.T) {
-	// A v1 client (no codec offer) and a v2 binary client share a document.
-	// The v1 side must see plain JSON srv frames, one per op — no srvb, no
-	// binary — while the v2 side negotiates normally.
-	m := runCodecPair(t, server.Config{}, func(addr string, i int) client.Config {
-		c := clientCfg(addr, i)
-		if i == 0 {
-			c.NoBatch = true
-		}
-		return c
-	})
-	if m["conns_codec_binary_total"] != 1 {
-		t.Errorf("want exactly the v2 connection on binary, counters: binary=%d json=%d",
-			m["conns_codec_binary_total"], m["conns_codec_json_total"])
-	}
-}
-
-func TestCodecBatchingDisabled(t *testing.T) {
-	// BatchMax < 0 turns batching off server-side: no srvb frames even for
-	// v2 clients (the E14 baseline configuration).
-	m := runCodecPair(t, server.Config{BatchMax: -1}, clientCfg)
-	if m["batch_frames_total"] != 0 {
-		t.Errorf("batching disabled but %d srvb frames were sent", m["batch_frames_total"])
-	}
-	if m["conns_codec_binary_total"] < 2 {
-		t.Errorf("codec negotiation should be independent of batching, counters: binary=%d",
-			m["conns_codec_binary_total"])
-	}
-}
-
-func TestCodecResumeUnderBinary(t *testing.T) {
-	// Forced mid-stream disconnects under the binary codec: resume replays
-	// the retained outbox (from the cached encoded bodies) and the session
-	// converges. Exercises the outbox byte cache on the replay path.
+// TestResumeReplaysCachedBodies forces mid-stream disconnects: each resume
+// replays the retained outbox from the cached encoded bodies, and the session
+// converges with every op applied exactly once.
+func TestResumeReplaysCachedBodies(t *testing.T) {
 	eng := server.New(server.Config{Addr: "127.0.0.1:0"})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
@@ -193,7 +55,83 @@ func TestCodecResumeUnderBinary(t *testing.T) {
 	if got, _ := eng.Metrics().Snapshot()["resumes_total"].(int64); got < 1 {
 		t.Errorf("want at least one resume, got %d", got)
 	}
-	if fmt.Sprint(len(st.Text)) != fmt.Sprint(ops) {
+	if len(st.Text) != ops {
 		t.Errorf("want %d chars after dedup, got %d", ops, len(st.Text))
+	}
+}
+
+// expectV1Refused writes one protocol v1 frame — a JSON body whose hello
+// carries no codec offer — as the first frame of a connection, and requires
+// an err frame with CodeProtocol followed by EOF. conn.reject flushes its
+// notice best-effort (the close that follows can cut the write short), so a
+// connection that ends with no frame at all is retried; any frame other than
+// the refusal fails at once.
+func expectV1Refused(t *testing.T, addr string, hello *wire.Frame) {
+	t.Helper()
+	body, err := wire.Encode(hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	try := func() bool {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+		st := wire.NewStream(nc, 0)
+		if err := st.WriteRaw(body); err != nil {
+			t.Fatal(err)
+		}
+		f, err := st.Read()
+		if err != nil {
+			t.Logf("closed without a frame (%v), retrying", err)
+			return false
+		}
+		if f.Type != wire.TError || f.Error.Code != wire.CodeProtocol || !strings.Contains(f.Error.Msg, "protocol v1") {
+			t.Fatalf("got %+v (%+v), want %s error naming protocol v1", f, f.Error, wire.CodeProtocol)
+		}
+		if _, err := st.Read(); !errors.Is(err, io.EOF) {
+			t.Fatalf("after the err frame: %v, want EOF", err)
+		}
+		return true
+	}
+	for attempt := 0; attempt < 10; attempt++ {
+		if try() {
+			return
+		}
+	}
+	t.Fatal("no attempt was answered with an err frame")
+}
+
+func TestV1HelloRejected(t *testing.T) {
+	eng := server.New(server.Config{Addr: "127.0.0.1:0"})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = eng.Shutdown(ctx)
+	}()
+	expectV1Refused(t, eng.Addr(), &wire.Frame{Type: wire.THello, Hello: &wire.Hello{Doc: "v1-doc"}})
+	if _, ok := eng.DocState("v1-doc"); ok {
+		t.Fatal("a refused hello created its document")
+	}
+}
+
+func TestV1ReplHelloRejected(t *testing.T) {
+	engs := startReplCluster(t, 2, 5*time.Millisecond, nil)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for _, e := range engs {
+			_ = e.Shutdown(ctx)
+		}
+	}()
+	for _, e := range engs { // leader, then follower
+		expectV1Refused(t, e.Addr(), &wire.Frame{Type: wire.TReplHello, ReplHello: &wire.ReplHello{
+			NodeID: "v1-peer", Role: wire.RoleFollower,
+		}})
 	}
 }

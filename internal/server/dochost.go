@@ -45,28 +45,28 @@ type docHost struct {
 	// run loop flushes it after draining a burst of requests, so frames
 	// produced by consecutive operations coalesce into batch frames.
 	flushQ      []opid.ClientID
-	batchMax    int // frames per srvb / requests drained per flush; 0 = batching off
 	frameBudget int // soft byte cap for one composed batch frame
 }
 
+// batchMax bounds how many srv frames coalesce into one srvb batch frame,
+// and how many queued requests the apply loop drains before it flushes.
+const batchMax = 32
+
 // pendingRelease is one applied-but-uncommitted log entry's deferred output:
-// the srv frames it produced and, for a join on the leader, the welcome frame
-// owed to the connection that joined.
+// the srv frames it produced and, for a join on the leader, the encoded
+// welcome owed to the connection that joined.
 type pendingRelease struct {
 	outs    []css.Addressed
-	welcome *wire.Frame
+	welcome []byte
 	joinID  opid.ClientID
 	conn    *conn
 }
 
 // outEntry is one retained outbox frame plus its encoded body, cached so
-// that resends (resume replay) and batch composition never re-marshal. The
-// cache is keyed by codec name: a client that reconnects under a different
-// codec invalidates entry-by-entry as the replay touches them.
+// that resends (resume replay) and batch composition never re-marshal.
 type outEntry struct {
-	fr    wire.Server
-	enc   []byte
-	codec string
+	fr  wire.Server
+	enc []byte
 }
 
 // clientSlot is one client session: the retained outbox keyed by frame
@@ -104,12 +104,9 @@ func newDocHost(e *Engine, name string) *docHost {
 		srv:         css.NewServer(nil, nil, e.cfg.Recorder),
 		clients:     make(map[opid.ClientID]*clientSlot),
 		pending:     make(map[uint64]*pendingRelease),
-		batchMax:    e.cfg.batchMax(),
 		frameBudget: maxFrame / 2,
 	}
-	// Compact contexts pass through whenever a client sends them; expansion
-	// is unconditional, so v1 clients interoperate either way.
-	h.srv.UseCompactContexts()
+	h.srv.UseCompactContexts() // what every client replica sends
 	return h
 }
 
@@ -124,7 +121,7 @@ func (h *docHost) run() {
 			// operations coalesce into batch frames. Bounded by batchMax:
 			// a hot document still flushes regularly.
 		drain:
-			for n := 0; n < h.batchMax; n++ {
+			for n := 0; n < batchMax; n++ {
 				select {
 				case g := <-h.reqs:
 					g()
@@ -211,17 +208,21 @@ func (h *docHost) doJoin(c *conn, hello wire.Hello) (bool, int32) {
 func (h *docHost) doJoinNew(c *conn) (bool, int32) {
 	h.nextID++
 	id := opid.ClientID(h.nextID)
-	snap := h.srv.Snapshot()
-	if err := h.srv.AddClient(id); err != nil {
+	// The welcome is encoded once, here: the same bytes feed the snapshot
+	// size metrics and go to the socket.
+	welcome, err := wire.EncodeWith(wire.BinaryCodec, &wire.Frame{Type: wire.TWelcome, Welcome: &wire.Welcome{
+		ClientID: int32(id), Snapshot: h.srv.Snapshot(), Codec: wire.CodecBinary,
+	}})
+	if err == nil {
+		err = h.srv.AddClient(id)
+	}
+	if err != nil {
 		c.reject(wire.CodeProtocol, "join: "+err.Error())
 		return false, 0
 	}
 	h.clients[id] = &clientSlot{id: id, conn: c}
-	welcome := &wire.Frame{Type: wire.TWelcome, Welcome: &wire.Welcome{ClientID: int32(id), Snapshot: snap, Codec: c.codecName}}
-	if body, err := wire.EncodeWith(c.wcodec, welcome); err == nil {
-		h.eng.reg.Counter("snapshot_bytes_total").Add(int64(len(body)))
-		h.eng.reg.Gauge("snapshot_bytes_last").Set(int64(len(body)))
-	}
+	h.eng.reg.Counter("snapshot_bytes_total").Add(int64(len(welcome)))
+	h.eng.reg.Gauge("snapshot_bytes_last").Set(int64(len(welcome)))
 	if r := h.eng.repl; r != nil {
 		// Replicated: the session is only durable once a majority holds the
 		// join entry, so the welcome waits for commit. A session the client
@@ -231,7 +232,7 @@ func (h *docHost) doJoinNew(c *conn) (bool, int32) {
 		h.eng.logf("doc %q: new client c%d from %s (join at log %d)", h.name, id, c.nc.RemoteAddr(), idx)
 		return true, int32(id)
 	}
-	if !c.enqueue(welcome) {
+	if !c.enqueueRaw(welcome) {
 		h.clients[id].conn = nil
 		c.close()
 		return false, 0
@@ -264,7 +265,7 @@ func (h *docHost) doResume(c *conn, hello wire.Hello) (bool, int32) {
 	// not yet flushed to the previous connection — clear the flush debt so
 	// the next flush does not ship those frames twice.
 	slot.pendingN = 0
-	if !c.enqueue(&wire.Frame{Type: wire.TWelcome, Welcome: &wire.Welcome{ClientID: int32(id), Resume: true, Codec: c.codecName}}) {
+	if !c.enqueue(&wire.Frame{Type: wire.TWelcome, Welcome: &wire.Welcome{ClientID: int32(id), Resume: true, Codec: wire.CodecBinary}}) {
 		slot.conn = nil
 		c.close()
 		return false, 0
@@ -440,7 +441,7 @@ func (h *docHost) release(idx uint64) {
 	if p.welcome != nil {
 		slot := h.clients[p.joinID]
 		if slot != nil && p.conn != nil && slot.conn == p.conn {
-			if c := slot.conn; !c.enqueue(p.welcome) {
+			if c := slot.conn; !c.enqueueRaw(p.welcome) {
 				slot.conn = nil
 				c.close()
 			} else {
@@ -499,25 +500,24 @@ func (h *docHost) flush() {
 	}
 }
 
-// encFor returns the entry's frame body encoded with the connection's
-// negotiated codec, caching it on the entry so resume replays and batch
-// composition never re-marshal an already-encoded frame.
-func (h *docHost) encFor(e *outEntry, c *conn) []byte {
-	name := c.wcodec.Name()
-	if e.enc == nil || e.codec != name {
-		body, err := wire.EncodeWith(c.wcodec, &wire.Frame{Type: wire.TServer, Server: &e.fr})
+// body returns the entry's encoded srv frame body (nil when it cannot be
+// encoded), caching it on the entry so resume replays and batch composition
+// never re-marshal an already-encoded frame.
+func (e *outEntry) body() []byte {
+	if e.enc == nil {
+		body, err := wire.EncodeWith(wire.BinaryCodec, &wire.Frame{Type: wire.TServer, Server: &e.fr})
 		if err != nil {
 			return nil
 		}
-		e.enc, e.codec = body, name
+		e.enc = body
 	}
 	return e.enc
 }
 
 // shipFrames forwards a run of retained outbox entries to the slot's live
-// connection. v2 peers get srvb batch frames — composed from the cached
-// per-frame bodies without re-encoding when the codec is binary — chunked by
-// batchMax and a byte budget; v1 peers get one frame each. A full send queue
+// connection as srvb batch frames, composed from the cached per-frame bodies
+// without re-encoding and chunked by batchMax and a byte budget (a chunk of
+// one ships as the plain srv frame it already is). A full send queue
 // disconnects the target (backpressure policy); the frames stay retained for
 // resume.
 func (h *docHost) shipFrames(slot *clientSlot, entries []outEntry) {
@@ -531,20 +531,10 @@ func (h *docHost) shipFrames(slot *clientSlot, entries []outEntry) {
 		c.close()
 		slot.conn = nil
 	}
-	if !c.batchOK || h.batchMax <= 1 {
-		for i := range entries {
-			body := h.encFor(&entries[i], c)
-			if body == nil || !c.enqueueRaw(body) {
-				cut()
-				return
-			}
-		}
-		return
-	}
 	for start := 0; start < len(entries); {
 		end, total := start, 0
-		for end < len(entries) && end-start < h.batchMax {
-			body := h.encFor(&entries[end], c)
+		for end < len(entries) && end-start < batchMax {
+			body := entries[end].body()
 			if body == nil {
 				cut()
 				return
@@ -556,31 +546,20 @@ func (h *docHost) shipFrames(slot *clientSlot, entries []outEntry) {
 			end++
 		}
 		chunk := entries[start:end]
-		ok := false
-		switch {
-		case len(chunk) == 1:
-			ok = c.enqueueRaw(chunk[0].enc)
-		case c.codecName == wire.CodecBinary:
-			// Compose the batch body from the cached inner bodies — the
-			// binary srvb layout embeds complete srv frame bodies verbatim.
+		body := chunk[0].enc
+		if len(chunk) > 1 {
+			// Compose the batch body from the cached inner bodies — the srvb
+			// layout embeds complete srv frame bodies verbatim.
 			bodies := make([][]byte, len(chunk))
 			for i := range chunk {
 				bodies[i] = chunk[i].enc
 			}
-			ok = c.enqueueRaw(wire.AppendServerBatchRaw(nil, bodies))
-		default:
-			frames := make([]wire.Server, len(chunk))
-			for i := range chunk {
-				frames[i] = chunk[i].fr
-			}
-			ok = c.enqueue(&wire.Frame{Type: wire.TServerBatch, ServerBatch: &wire.ServerBatch{Frames: frames}})
+			body = wire.AppendServerBatchRaw(nil, bodies)
+			h.eng.reg.Counter("batch_frames_total").Inc()
 		}
-		if !ok {
+		if !c.enqueueRaw(body) {
 			cut()
 			return
-		}
-		if len(chunk) > 1 {
-			h.eng.reg.Counter("batch_frames_total").Inc()
 		}
 		start = end
 	}

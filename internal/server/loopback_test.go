@@ -273,3 +273,42 @@ func TestLoopbackTwoDocuments(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopbackRefusedInsertKeepsSession: an out-of-range Insert returns an
+// error and consumes nothing, so the next edit reaches the server with the
+// next sequence number and the session carries on (before the range check
+// in css.Client.GenerateIns the server saw a gap and cut the connection).
+func TestLoopbackRefusedInsertKeepsSession(t *testing.T) {
+	eng := server.New(server.Config{Addr: "127.0.0.1:0", Logf: t.Logf})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = eng.Shutdown(ctx)
+	}()
+	c, err := client.Dial(client.Config{Addr: eng.Addr(), Doc: "refused", Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if err := c.Insert('x', 3); err == nil {
+		t.Fatal("insert past the end of an empty document succeeded")
+	}
+	if err := c.Insert('a', 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.Sync(ctx); err != nil {
+		t.Fatalf("sync after a refused insert: %v", err)
+	}
+	if st, _ := eng.DocState("refused"); st.Text != "a" || st.Seq != 1 {
+		t.Fatalf("server has %+v, want text \"a\" at seq 1", st)
+	}
+	if got := eng.Metrics().Counter("op_gap_disconnects_total").Value(); got != 0 {
+		t.Fatalf("op_gap_disconnects_total = %d, want 0", got)
+	}
+}

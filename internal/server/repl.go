@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -330,11 +331,9 @@ func (r *replicator) noteReleased(idx uint64) {
 // leader it becomes a follower session; elsewhere the peer gets our role (and,
 // if it is a candidate behind our log, our suffix) and the connection closes.
 func (r *replicator) handlePeer(c *conn, hello wire.ReplHello) {
-	if len(hello.Codecs) > 0 {
-		// A v2 peer: negotiate the stream codec; the selection rides back in
-		// the reply hello. Old peers (no offer) keep JSON.
-		c.wcodec, c.codecName = r.eng.negotiateCodec(hello.Codecs)
-		c.codec.Use(c.wcodec)
+	if !slices.Contains(hello.Codecs, wire.CodecBinary) {
+		c.reject(wire.CodeProtocol, helloWithoutTag)
+		return
 	}
 	if r.isLeader() {
 		r.runFollowerSession(c, hello)
@@ -345,7 +344,7 @@ func (r *replicator) handlePeer(c *conn, hello wire.ReplHello) {
 	r.mu.Unlock()
 	last, commit := r.log.LastIndex(), r.log.CommitIndex()
 	c.enqueue(&wire.Frame{Type: wire.TReplHello, ReplHello: &wire.ReplHello{
-		NodeID: r.self, Role: role, LastIndex: last, Commit: commit, Codec: c.codecName,
+		NodeID: r.self, Role: role, LastIndex: last, Commit: commit, Codec: wire.CodecBinary,
 	}})
 	if hello.Role == wire.RoleCandidate && hello.LastIndex < last {
 		suffix := r.log.Entries(hello.LastIndex+1, 0)
@@ -363,7 +362,7 @@ func (r *replicator) handlePeer(c *conn, hello wire.ReplHello) {
 func (r *replicator) runFollowerSession(c *conn, hello wire.ReplHello) {
 	last, commit := r.log.LastIndex(), r.log.CommitIndex()
 	if !c.enqueue(&wire.Frame{Type: wire.TReplHello, ReplHello: &wire.ReplHello{
-		NodeID: r.self, Role: wire.RoleLeader, LastIndex: last, Commit: commit, Codec: c.codecName,
+		NodeID: r.self, Role: wire.RoleLeader, LastIndex: last, Commit: commit, Codec: wire.CodecBinary,
 	}}) {
 		c.close()
 		return
@@ -543,14 +542,6 @@ func (r *replicator) dialPeer(p Peer) (net.Conn, *wire.Stream, bool) {
 	return nc, wire.NewStream(nc, r.eng.cfg.MaxFrame), true
 }
 
-// adoptCodec switches an outbound peer stream to the codec the answering
-// node selected from our offer ("" — an old peer — keeps JSON).
-func adoptCodec(s *wire.Stream, name string) {
-	if cd, ok := wire.Lookup(name); ok {
-		s.Use(cd)
-	}
-}
-
 func (r *replicator) dropPeer(nc net.Conn) {
 	r.mu.Lock()
 	if r.cur == nc {
@@ -572,7 +563,7 @@ func (r *replicator) followOnce(p Peer) bool {
 	_ = nc.SetDeadline(time.Now().Add(ioBudget))
 	if err := codec.Write(&wire.Frame{Type: wire.TReplHello, ReplHello: &wire.ReplHello{
 		NodeID: r.self, Role: wire.RoleFollower, LastIndex: r.log.LastIndex(), Commit: r.log.CommitIndex(),
-		Codecs: wire.PreferredCodecs(r.eng.cfg.Codec),
+		Codecs: []string{wire.CodecBinary},
 	}}); err != nil {
 		return false
 	}
@@ -580,7 +571,6 @@ func (r *replicator) followOnce(p Peer) bool {
 	if err != nil || f.Type != wire.TReplHello || f.ReplHello.Role != wire.RoleLeader {
 		return false
 	}
-	adoptCodec(codec, f.ReplHello.Codec)
 	r.setRole(wire.RoleFollower, f.ReplHello.NodeID)
 	r.eng.logf("repl: %s following %s", r.self, p.ID)
 	lastAcked := uint64(0)
@@ -640,7 +630,7 @@ func (r *replicator) consult(p Peer) (ok, sawLeader bool) {
 	_ = nc.SetDeadline(time.Now().Add(ioBudget))
 	if err := codec.Write(&wire.Frame{Type: wire.TReplHello, ReplHello: &wire.ReplHello{
 		NodeID: r.self, Role: wire.RoleCandidate, LastIndex: r.log.LastIndex(), Commit: r.log.CommitIndex(),
-		Codecs: wire.PreferredCodecs(r.eng.cfg.Codec),
+		Codecs: []string{wire.CodecBinary},
 	}}); err != nil {
 		return false, false
 	}
@@ -648,7 +638,6 @@ func (r *replicator) consult(p Peer) (ok, sawLeader bool) {
 	if err != nil || f.Type != wire.TReplHello {
 		return false, false
 	}
-	adoptCodec(codec, f.ReplHello.Codec)
 	if f.ReplHello.Role == wire.RoleLeader {
 		return false, true
 	}

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,16 +58,6 @@ type Config struct {
 	MetricsAddr string
 	// MaxFrame caps wire frame bodies (0 = wire.DefaultMaxFrame).
 	MaxFrame int
-	// Codec restricts what the server will SEND to negotiating peers:
-	// "json" pins every connection to the JSON codec regardless of what the
-	// peer offers; "" or "binary" lets negotiation pick the best offered
-	// codec. Decoding always accepts both (frames self-identify).
-	Codec string
-	// BatchMax bounds how many srv frames coalesce into one srvb batch frame
-	// (and how many queued requests a document's apply loop drains before
-	// flushing). 0 = 32; negative disables batching entirely — every frame
-	// ships individually, as the v1 protocol did.
-	BatchMax int
 	// SendQueue is the per-connection outbound frame queue capacity; a
 	// connection whose queue overflows is disconnected (0 = 256).
 	SendQueue int
@@ -124,16 +115,6 @@ func (c *Config) sendQueue() int {
 	return c.SendQueue
 }
 
-func (c *Config) batchMax() int {
-	if c.BatchMax < 0 {
-		return 0
-	}
-	if c.BatchMax == 0 {
-		return 32
-	}
-	return c.BatchMax
-}
-
 func (c *Config) writeTimeout() time.Duration {
 	if c.WriteTimeout <= 0 {
 		return 10 * time.Second
@@ -178,6 +159,11 @@ type Engine struct {
 
 	wg sync.WaitGroup
 }
+
+// helloWithoutTag refuses a hello or repl_hello whose Codecs lacks the
+// protocol's version tag (wire.CodecBinary): a protocol v1 peer, which would
+// send JSON bodies and could not read batch frames.
+const helloWithoutTag = "protocol v1 is not spoken here: hello must offer the " + wire.CodecBinary + " codec"
 
 // ErrClosed is returned for operations on a shut-down engine.
 var ErrClosed = errors.New("server: engine closed")
@@ -258,22 +244,6 @@ func (e *Engine) MetricsAddr() string {
 		return ""
 	}
 	return e.httpLn.Addr().String()
-}
-
-// negotiateCodec picks the first offered codec this engine both implements
-// and is configured to send. When nothing matches it falls back to JSON:
-// every peer decodes JSON regardless of what it offered, because frames
-// self-identify on the wire.
-func (e *Engine) negotiateCodec(offered []string) (wire.Codec, string) {
-	for _, name := range offered {
-		if e.cfg.Codec == wire.CodecJSON && name != wire.CodecJSON {
-			continue
-		}
-		if cd, ok := wire.Lookup(name); ok {
-			return cd, name
-		}
-	}
-	return wire.JSONCodec, wire.CodecJSON
 }
 
 func (e *Engine) logf(format string, args ...any) {
@@ -486,15 +456,6 @@ type conn struct {
 	nc    net.Conn
 	codec *wire.Stream
 
-	// Negotiated send codec. Set by the read loop while handling the Hello,
-	// before the connection attaches to a document, so the apply loop's later
-	// reads are ordered after the writes (happens-before via the request
-	// queue). batchOK means the peer understands srvb batch frames (it
-	// offered codecs, so it speaks protocol v2 even if JSON was selected).
-	wcodec    wire.Codec
-	codecName string
-	batchOK   bool
-
 	sendCh chan outFrame
 
 	closeOnce sync.Once
@@ -508,9 +469,9 @@ type conn struct {
 	clientID int32
 }
 
-// outFrame is one entry of a connection's send queue: either a frame to
-// encode with the negotiated codec, or a pre-encoded body to write verbatim
-// (the outbox byte cache and batch composition paths).
+// outFrame is one entry of a connection's send queue: either a frame for
+// the stream to encode, or a pre-encoded body to write verbatim (welcomes,
+// the outbox byte cache and batch composition).
 type outFrame struct {
 	f   *wire.Frame
 	raw []byte
@@ -521,7 +482,6 @@ func newConn(e *Engine, nc net.Conn) *conn {
 		eng:      e,
 		nc:       nc,
 		codec:    wire.NewStream(nc, e.cfg.MaxFrame),
-		wcodec:   wire.JSONCodec,
 		sendCh:   make(chan outFrame, e.cfg.sendQueue()),
 		closedCh: make(chan struct{}),
 	}
@@ -533,9 +493,8 @@ func (c *conn) enqueue(f *wire.Frame) bool {
 	return c.enqueueOut(outFrame{f: f})
 }
 
-// enqueueRaw appends a pre-encoded frame body for the write loop. The body
-// must already be in a codec the peer accepts (callers use the negotiated
-// one); the write loop prefixes and ships it without re-encoding.
+// enqueueRaw appends a pre-encoded frame body for the write loop, which
+// prefixes and ships it without re-encoding.
 func (c *conn) enqueueRaw(body []byte) bool {
 	return c.enqueueOut(outFrame{raw: body})
 }
@@ -667,6 +626,10 @@ func (c *conn) readLoop() {
 		c.reject(wire.CodeProtocol, "first frame must be hello")
 		return
 	}
+	if !slices.Contains(f.Hello.Codecs, wire.CodecBinary) {
+		c.reject(wire.CodeProtocol, helloWithoutTag)
+		return
+	}
 	if r := c.eng.repl; r != nil {
 		if ok, hint := r.allowClient(); !ok {
 			c.eng.reg.Counter("not_leader_rejects_total").Inc()
@@ -676,14 +639,6 @@ func (c *conn) readLoop() {
 			c.close()
 			return
 		}
-	}
-	if len(f.Hello.Codecs) > 0 {
-		// A v2 client: negotiate the send codec and enable batch frames.
-		// v1 clients (no offer) keep JSON and per-frame delivery.
-		c.batchOK = true
-		c.wcodec, c.codecName = c.eng.negotiateCodec(f.Hello.Codecs)
-		c.codec.Use(c.wcodec)
-		c.eng.reg.Counter("conns_codec_" + c.codecName + "_total").Inc()
 	}
 	if sid := c.eng.cfg.ShardID; sid != "" && f.Hello.Shard != "" && f.Hello.Shard != sid {
 		// The client's routing table is stale: it thinks this address belongs

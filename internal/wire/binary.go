@@ -67,8 +67,6 @@ const (
 
 type binaryCodec struct{}
 
-func (binaryCodec) Name() string { return CodecBinary }
-
 func (binaryCodec) AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -220,16 +218,6 @@ func (binaryCodec) AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, f.Type)
 	}
 	return b, nil
-}
-
-func (binaryCodec) DecodeFrame(data []byte) (*Frame, error) {
-	if len(data) == 0 {
-		return nil, ErrEmptyFrame
-	}
-	if data[0] != binMagic {
-		return nil, fmt.Errorf("wire: binary: missing magic byte (got 0x%02x)", data[0])
-	}
-	return decodeBinary(data)
 }
 
 // AppendServerBatchRaw builds a binary srvb body out of pre-encoded binary

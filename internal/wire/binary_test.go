@@ -314,73 +314,6 @@ func TestAppendServerBatchRaw(t *testing.T) {
 	}
 }
 
-// TestNegotiate covers the codec selection rules.
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		offer []string
-		want  string
-		ok    bool
-	}{
-		{[]string{"binary", "json"}, CodecBinary, true},
-		{[]string{"json", "binary"}, CodecJSON, true},
-		{[]string{"json"}, CodecJSON, true},
-		{[]string{"zstd-frames", "json"}, CodecJSON, true},
-		{[]string{"zstd-frames"}, "", false},
-		{nil, "", false},
-	}
-	for _, tc := range cases {
-		c, ok := Negotiate(tc.offer)
-		if ok != tc.ok {
-			t.Errorf("Negotiate(%v) ok = %v, want %v", tc.offer, ok, tc.ok)
-			continue
-		}
-		if ok && c.Name() != tc.want {
-			t.Errorf("Negotiate(%v) = %s, want %s", tc.offer, c.Name(), tc.want)
-		}
-	}
-	if got := PreferredCodecs(""); !reflect.DeepEqual(got, []string{CodecBinary, CodecJSON}) {
-		t.Errorf("PreferredCodecs(\"\") = %v", got)
-	}
-	if got := PreferredCodecs(CodecJSON); !reflect.DeepEqual(got, []string{CodecJSON}) {
-		t.Errorf("PreferredCodecs(json) = %v", got)
-	}
-	if got := PreferredCodecs(CodecBinary); !reflect.DeepEqual(got, []string{CodecBinary, CodecJSON}) {
-		t.Errorf("PreferredCodecs(binary) = %v", got)
-	}
-}
-
-// TestStreamUse: a stream switched to the binary codec writes binary bodies;
-// the reader needs no switch because Decode auto-detects.
-func TestStreamUse(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStream(&buf, 0)
-	fr := &Frame{Type: TAck, Ack: &Ack{Seq: 3}}
-	if err := s.Write(fr); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[4] != '{' {
-		t.Fatalf("default codec wrote non-JSON body: %x", buf.Bytes())
-	}
-	buf.Reset()
-	s.Use(BinaryCodec)
-	if s.Codec().Name() != CodecBinary {
-		t.Fatalf("Codec() = %s after Use(binary)", s.Codec().Name())
-	}
-	if err := s.Write(fr); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[4] != binMagic {
-		t.Fatalf("binary codec wrote body without magic: %x", buf.Bytes())
-	}
-	got, err := s.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Ack == nil || got.Ack.Seq != 3 {
-		t.Fatalf("read %+v", got)
-	}
-}
-
 // TestStreamWriteRaw: a pre-encoded body goes out verbatim under the length
 // prefix and decodes on the peer side.
 func TestStreamWriteRaw(t *testing.T) {

@@ -1,43 +1,32 @@
 package wire
 
-import (
-	"encoding/json"
-	"fmt"
-)
+// CodecBinary is the protocol's version tag: the one value a peer may offer
+// in Hello.Codecs / ReplHello.Codecs and the one value Welcome.Codec /
+// ReplHello.Codec ever carry. A hello whose offer lacks it comes from a
+// protocol v1 peer (JSON bodies, no batch frames) and is refused.
+const CodecBinary = "binary"
 
-// Codec names, as negotiated in Hello.Codecs / Welcome.Codec.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-)
-
-// Codec encodes and decodes frame bodies. The length-prefix framing above it
-// never changes, so any Codec's frames pass through the chaos proxy and
-// ReadRawFrame unmodified.
+// Codec renders frame bodies. The length-prefix framing above it never
+// changes, so any Codec's frames pass through the chaos proxy and
+// ReadRawFrame unmodified. Streams always write BinaryCodec; JSONCodec is
+// the readable rendering that Decode still accepts (hand-written debugging
+// frames, the adversarial validate() tables, the fuzz seeds).
 //
-// Every implementation validates frames the same way: AppendFrame rejects
-// what validate() rejects, DecodeFrame never returns a frame validate()
-// would refuse, and DecodeFrame never aliases the input buffer (bodies are
-// pooled by Stream).
+// Both implementations validate the same way: AppendFrame rejects what
+// validate() rejects.
 type Codec interface {
-	// Name is the codec's negotiation token.
-	Name() string
 	// AppendFrame validates f and appends its encoded body to dst.
 	AppendFrame(dst []byte, f *Frame) ([]byte, error)
-	// DecodeFrame parses and validates one frame body.
-	DecodeFrame(data []byte) (*Frame, error)
 }
 
-// JSONCodec is the original length-prefixed JSON body encoding — the format
-// every peer version speaks, and the fallback when negotiation fails.
+// JSONCodec is the tagged-union JSON body encoding (see Encode).
 var JSONCodec Codec = jsonCodec{}
 
-// BinaryCodec is the compact varint body encoding (binary.go).
+// BinaryCodec is the compact varint body encoding (binary.go) — what every
+// Stream writes.
 var BinaryCodec Codec = binaryCodec{}
 
 type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return CodecJSON }
 
 func (jsonCodec) AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	body, err := Encode(f)
@@ -45,54 +34,4 @@ func (jsonCodec) AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 		return nil, err
 	}
 	return append(dst, body...), nil
-}
-
-func (jsonCodec) DecodeFrame(data []byte) (*Frame, error) {
-	if len(data) == 0 {
-		return nil, ErrEmptyFrame
-	}
-	var f Frame
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	if err := f.validate(); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// Lookup resolves a negotiation token to its codec.
-func Lookup(name string) (Codec, bool) {
-	switch name {
-	case CodecJSON:
-		return JSONCodec, true
-	case CodecBinary:
-		return BinaryCodec, true
-	}
-	return nil, false
-}
-
-// Negotiate picks the first codec from the peer's offer that this build
-// supports, in the peer's preference order. An empty or all-unknown offer
-// returns ok=false: the session stays on JSON and must not use batch frames
-// (the peer predates codec negotiation).
-func Negotiate(offered []string) (Codec, bool) {
-	for _, name := range offered {
-		if c, ok := Lookup(name); ok {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
-// PreferredCodecs returns the offer list for a peer configured to prefer
-// the named codec ("" means binary). The JSON fallback is always included
-// so negotiation cannot strand a session.
-func PreferredCodecs(name string) []string {
-	switch name {
-	case CodecJSON:
-		return []string{CodecJSON}
-	default:
-		return []string{CodecBinary, CodecJSON}
-	}
 }

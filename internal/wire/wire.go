@@ -1,19 +1,22 @@
 // Package wire is the framing layer of the network runtime: a
-// length-prefixed frame stream over any io.ReadWriter, with a pluggable
-// body codec (JSON or compact binary).
+// length-prefixed frame stream over any io.ReadWriter, and the one place
+// that decides what a stream writes.
 //
 // Every frame is a 4-byte big-endian length followed by exactly that many
-// body bytes. A JSON body is a tagged union: a "type" discriminator plus the
-// one payload field matching it, reusing the css/core JSON encodings so a
-// captured byte stream is readable with the same tooling as a recorded
-// history. A binary body starts with a magic byte no JSON document can
-// (0xBF), so a reader decodes either form without knowing in advance which
-// codec the peer writes — negotiation (Hello.Codecs/Welcome.Codec) only
-// governs what a peer is ALLOWED to send. See codec.go and binary.go.
+// body bytes. A Stream writes the compact binary body (binary.go) from the
+// first frame on every link — client sessions, replication, placement and
+// migration alike. The body starts with a magic byte no JSON document can
+// (0xBF), so Decode also still accepts the JSON rendering of a frame: a
+// tagged union of a "type" discriminator plus the one payload field matching
+// it, reusing the css/core JSON encodings. Nothing on a live link writes
+// JSON; it is the form hand-written debugging frames, the adversarial
+// validate() tables and the fuzz seeds arrive in. Hello.Codecs/Welcome.Codec
+// carry the protocol's version tag (CodecBinary); a peer without it is
+// refused.
 //
 //	Frame        Direction         Payload
-//	hello        client → server   document name, client id (0 = new), resume point, offered codecs
-//	welcome      server → client   assigned client id, join snapshot or resume ack, selected codec
+//	hello        client → server   document name, client id (0 = new), resume point, version tag
+//	welcome      server → client   assigned client id, join snapshot or resume ack, version tag
 //	op           client → server   css.ClientMsg (an original operation + context)
 //	opb          client → server   batch of css.ClientMsg (coalesced buffered ops)
 //	srv          server → client   css.ServerMsg (broadcast / ack / frontier) + frame seq
@@ -24,7 +27,7 @@
 //
 // Replication frames (jupiterd ↔ jupiterd, the internal/replog layer):
 //
-//	repl_hello   peer → peer       node id, role, last log index, commit index, codecs
+//	repl_hello   peer → peer       node id, role, last log index, commit index, version tag
 //	repl_append  leader → follower a batch of log entries + the commit index
 //	repl_ack     follower → leader highest contiguous log index held
 //	repl_commit  leader → follower commit index advance with no new entries
@@ -56,7 +59,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"jupiter/internal/css"
 	"jupiter/internal/ot"
@@ -101,9 +103,9 @@ type Hello struct {
 	Doc          string `json:"doc"`
 	ClientID     int32  `json:"clientId,omitempty"`
 	LastFrameSeq uint64 `json:"lastFrameSeq,omitempty"`
-	// Codecs lists the body codecs the client can speak, in preference
-	// order. Absent (a pre-codec-v2 client) means JSON only, and also tells
-	// the server the client cannot decode batch frames.
+	// Codecs is the protocol's version tag: it must contain CodecBinary.
+	// Absent means a protocol v1 client (JSON bodies, no batch frames), which
+	// the server refuses with CodeProtocol.
 	Codecs []string `json:"codecs,omitempty"`
 	// Shard, when set, names the shard the client resolved for Doc from the
 	// placement table. A shard whose own id differs rejects the hello with
@@ -120,9 +122,7 @@ type Welcome struct {
 	ClientID int32         `json:"clientId"`
 	Snapshot *css.Snapshot `json:"snapshot,omitempty"`
 	Resume   bool          `json:"resume,omitempty"`
-	// Codec is the body codec the server selected from Hello.Codecs. Empty
-	// on a pre-codec-v2 server: the client must stay on JSON and must not
-	// send batch frames.
+	// Codec echoes the protocol's version tag; always CodecBinary.
 	Codec string `json:"codec,omitempty"`
 }
 
@@ -134,7 +134,6 @@ type Op struct {
 // OpBatch carries several buffered client operations in one frame: the
 // client's flush policy coalesces everything generated since the last flush.
 // The server applies the batch through one pass of the doc apply loop.
-// Valid only after the session negotiated a codec (Welcome.Codec non-empty).
 type OpBatch struct {
 	Msgs []css.ClientMsg `json:"msgs"`
 }
@@ -151,8 +150,7 @@ type Server struct {
 // ServerBatch carries several srv frames in one wire frame — one flush of
 // the per-doc apply loop, or one chunk of a resume replay. Frame seqs are
 // strictly increasing within a batch, and the client answers with a single
-// cumulative Ack for the last one (group ack). Valid only toward clients
-// that negotiated a codec.
+// cumulative Ack for the last one (group ack).
 type ServerBatch struct {
 	Frames []Server `json:"frames"`
 }
@@ -207,9 +205,9 @@ type ReplHello struct {
 	Role      string `json:"role"`
 	LastIndex uint64 `json:"lastIndex,omitempty"`
 	Commit    uint64 `json:"commit,omitempty"`
-	// Codecs (dialer) offers body codecs in preference order; Codec
-	// (answerer) selects one. Either side absent means JSON, so mixed-version
-	// clusters keep replicating during a rolling upgrade.
+	// Codecs (dialer) and Codec (answerer) carry the protocol's version tag,
+	// CodecBinary, exactly as Hello.Codecs and Welcome.Codec do: a dialer
+	// without it is a v1 peer and is refused.
 	Codecs []string `json:"codecs,omitempty"`
 	Codec  string   `json:"codec,omitempty"`
 }
@@ -658,9 +656,8 @@ func validateServerMsg(m *css.ServerMsg) error {
 	return nil
 }
 
-// Encode renders the frame body in the JSON codec (without the length
-// prefix). Kept as the package-level encoder because JSON is the format
-// every peer version decodes; use a Codec from Lookup for binary bodies.
+// Encode renders the frame body as JSON (without the length prefix) — the
+// readable form, for debugging and tests. Streams never write it.
 func Encode(f *Frame) ([]byte, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -669,9 +666,8 @@ func Encode(f *Frame) ([]byte, error) {
 }
 
 // Decode parses and validates one frame body (without the length prefix).
-// The codec is detected from the first byte — 0xBF is the binary magic, no
-// valid JSON document starts with it — so a reader needs no negotiation
-// state to accept either form.
+// The encoding is detected from the first byte — 0xBF is the binary magic,
+// no valid JSON document starts with it.
 func Decode(data []byte) (*Frame, error) {
 	if len(data) == 0 {
 		return nil, ErrEmptyFrame
@@ -710,40 +706,27 @@ func putBuf(b *[]byte) {
 // Reads and writes are independently safe to use from one reader and one
 // writer goroutine; two concurrent writers must synchronize externally.
 // Body buffers are pooled: neither Read nor Write allocates per frame
-// beyond what the codec itself needs.
+// beyond what the encoding itself needs.
 type Stream struct {
 	rw       io.ReadWriter
 	maxFrame int
 	lenBuf   [4]byte
-	enc      atomic.Pointer[Codec] // active encode codec; reads auto-detect
 }
 
-// NewStream wraps rw. maxFrame <= 0 selects DefaultMaxFrame. The stream
-// encodes with the JSON codec until Use switches it after negotiation.
+// NewStream wraps rw. maxFrame <= 0 selects DefaultMaxFrame.
 func NewStream(rw io.ReadWriter, maxFrame int) *Stream {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	s := &Stream{rw: rw, maxFrame: maxFrame}
-	c := JSONCodec
-	s.enc.Store(&c)
-	return s
+	return &Stream{rw: rw, maxFrame: maxFrame}
 }
 
-// Use switches the encode codec for all subsequent writes. Safe to call
-// from the reader goroutine while the writer goroutine is between frames
-// (the switch is atomic); readers never need it because Decode auto-detects.
-func (s *Stream) Use(c Codec) { s.enc.Store(&c) }
-
-// Codec returns the active encode codec.
-func (s *Stream) Codec() Codec { return *s.enc.Load() }
-
-// Write encodes and sends one frame with the active codec.
+// Write encodes one frame in the binary encoding and sends it.
 func (s *Stream) Write(f *Frame) error {
 	bp := getBuf()
 	defer putBuf(bp)
 	buf := append(*bp, 0, 0, 0, 0) // length prefix placeholder
-	buf, err := (*s.enc.Load()).AppendFrame(buf, f)
+	buf, err := binaryCodec{}.AppendFrame(buf, f)
 	if err != nil {
 		return err
 	}
@@ -751,9 +734,8 @@ func (s *Stream) Write(f *Frame) error {
 	return s.writePrefixed(buf)
 }
 
-// WriteRaw sends one pre-encoded frame body (any codec the peer accepts —
-// the caller is responsible for matching the negotiated one). This is the
-// zero-re-encode path for cached outbox bodies.
+// WriteRaw sends one pre-encoded frame body. This is the zero-re-encode
+// path for cached outbox bodies and composed batch frames.
 func (s *Stream) WriteRaw(body []byte) error {
 	if len(body) == 0 {
 		return ErrEmptyFrame
@@ -781,7 +763,7 @@ func (s *Stream) writePrefixed(buf []byte) error {
 	return nil
 }
 
-// Read receives and decodes one frame, accepting either codec. A hostile or
+// Read receives and decodes one frame (Decode). A hostile or
 // corrupt length prefix is rejected before any body byte is read, so the
 // reader never allocates more than the configured maximum.
 func (s *Stream) Read() (*Frame, error) {

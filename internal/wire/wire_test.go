@@ -34,8 +34,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	c := NewStream(&buf, 0)
 	frames := sampleFrames(t)
 	for _, f := range frames {
+		off := buf.Len()
 		if err := c.Write(f); err != nil {
 			t.Fatalf("write %q: %v", f.Type, err)
+		}
+		// One encoding from the first frame on, the hello included.
+		if buf.Bytes()[off+4] != binMagic {
+			t.Fatalf("write %q: body is not binary: %x", f.Type, buf.Bytes()[off:])
 		}
 	}
 	for _, want := range frames {
