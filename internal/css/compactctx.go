@@ -6,35 +6,33 @@ import (
 	"jupiter/internal/opid"
 )
 
-// Compact wire contexts.
+// Compact contexts and the serialisation log.
 //
 // The theory-faithful message format ships an operation's context as an
 // explicit set of operation identifiers (Definition 4.6), which grows with
-// history length. Production Jupiter ships two counters instead. This file
-// implements that compression for the CSS protocol:
+// history length. Production Jupiter ships two counters instead:
 //
 //	CompactCtx{Origin, Remote, OwnSeq}
 //
-// denotes the context of an operation generated by client Origin as its
-// OwnSeq-th operation, at a point where it had received Remote broadcasts
-// from the server. Because every replica learns the server's serialization
-// order — broadcasts carry the global sequence number and originator, and
-// acknowledgements position the replica's own operations — any replica can
-// expand the counters back into the exact identifier set:
+// denotes the context of the operation client Origin generated as its
+// OwnSeq-th, at a point where it had received Remote broadcasts from the
+// server. Every replica learns the server's serialisation order — broadcasts
+// and acknowledgements arrive in it — and keeps it as one log of operation
+// identities (an entry's origin is its id.Client). Against that log the
+// counters expand back into the exact identifier set:
 //
-//	expand(c) = first c.Remote server-ordered operations NOT from Origin
+//	expand(c) = the first c.Remote logged operations NOT from Origin
 //	          ∪ Origin's own operations with sequence < c.OwnSeq
 //
-// The FIFO channel discipline guarantees the expansion is well-defined at
-// the moment of processing: everything serialized before the operation has
-// already been received (as a broadcast or an acknowledgement), so the
-// receiver's view of the order prefix is complete.
+// FIFO channels make the expansion well-defined when a message is processed:
+// everything serialised before the operation has already been received, so
+// the receiver's log prefix is complete.
 //
-// Both formats are supported on the wire; Config'd per cluster via
-// sim.Config.CompactContexts or by constructing replicas with
-// WithCompactContexts. Tests verify byte-identical behavior against the
-// explicit format under identical schedules, and experiment E8 measures the
-// wire-size difference.
+// A replica sends compact contexts after UseCompactContexts and explicit
+// ones otherwise (sim.Config.CompactContexts selects per cluster; the network
+// runtime always sends compact). Either form is accepted on receipt.
+// TestCompactContextsEquivalent checks identical behaviour under identical
+// schedules, and experiment E8 measures the wire-size difference.
 
 // CompactCtx is the two-counter context encoding.
 type CompactCtx struct {
@@ -43,35 +41,33 @@ type CompactCtx struct {
 	OwnSeq uint64 // the operation's own per-client sequence number
 }
 
-// orderEntry records one operation of the server's serialization order as
-// known to a replica.
-type orderEntry struct {
-	id     opid.OpID
-	origin opid.ClientID
-}
+// orderLog is a replica's view of the serialisation order: position i holds
+// the operation with global sequence number i+1.
+type orderLog []opid.OpID
 
-// orderLog is each replica's running view of the serialization order.
-type orderLog struct {
-	entries []orderEntry
-}
-
-// appendEntry records the next serialized operation.
-func (l *orderLog) appendEntry(id opid.OpID, origin opid.ClientID) {
-	l.entries = append(l.entries, orderEntry{id: id, origin: origin})
-}
-
-// expand reconstructs the explicit context set from the compact form.
-func (l *orderLog) expand(c CompactCtx) (opid.Set, error) {
-	out := opid.NewSet()
+// expand reconstructs the explicit context set from the compact form. The
+// counters come from outside: both are checked against the log before either
+// sizes the set. (Origin's earlier operations were serialised before this
+// one, so the log holds them too.) A caller that only looks the context up
+// passes the set of its previous call as out and gets it back refilled: a
+// fresh O(history) set per operation is 25 MB of garbage per 800-op join.
+func (l orderLog) expand(c CompactCtx, out opid.Set) (opid.Set, error) {
+	if c.Remote < 0 || c.Remote > len(l) || c.OwnSeq > uint64(len(l))+1 {
+		return nil, fmt.Errorf("css: compact context %+v reaches past an order log of %d ops", c, len(l))
+	}
+	if out == nil {
+		out = make(opid.Set, c.Remote+int(c.OwnSeq))
+	}
+	clear(out)
 	remote := 0
-	for _, e := range l.entries {
+	for _, id := range l {
 		if remote == c.Remote {
 			break
 		}
-		if e.origin == c.Origin {
+		if id.Client == c.Origin {
 			continue
 		}
-		out.Put(e.id)
+		out.Put(id)
 		remote++
 	}
 	if remote != c.Remote {

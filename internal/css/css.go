@@ -84,8 +84,8 @@ type replica struct {
 	doc   list.Doc
 	rec   core.Recorder
 
-	// Compact-context support: whether this replica sends compact contexts,
-	// and its running view of the serialization order for expanding them.
+	// compact is whether this replica sends compact contexts; order is the
+	// serialization order as far as it has learned it (compactctx.go).
 	compact bool
 	order   orderLog
 
@@ -126,20 +126,14 @@ func (r *replica) integrate(o ot.Op, ctx opid.Set, key statespace.OrderKey, loca
 
 // integrateLocal is the local-generation fast path: a locally generated
 // operation's matching state is by definition the replica's final state, so
-// it is integrated there directly, with no context resolution. The context
-// (the final state's operation set, materialized for the wire and the
-// history record) is returned.
-func (r *replica) integrateLocal(o ot.Op, key statespace.OrderKey) (opid.Set, error) {
-	sigma := r.space.Final()
-	ctx := sigma.Ops()
-	exec, err := r.space.IntegrateAt(o, sigma, key)
+// it is integrated there directly, with no context resolution.
+func (r *replica) integrateLocal(o ot.Op, key statespace.OrderKey) error {
+	exec, err := r.space.IntegrateAt(o, r.space.Final(), key)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
+		return fmt.Errorf("%s: %w", r.name, err)
 	}
-	if _, err := r.execute(exec, true); err != nil {
-		return nil, err
-	}
-	return ctx, nil
+	_, err = r.execute(exec, true)
+	return err
 }
 
 func (r *replica) execute(exec ot.Op, local bool) (ot.Op, error) {
@@ -180,7 +174,8 @@ type Client struct {
 	id         opid.ClientID
 	nextSeq    uint64
 	readSeq    uint64
-	broadcasts int // server broadcasts received so far (compact contexts)
+	broadcasts int      // server broadcasts received so far (compact contexts)
+	ctxBuf     opid.Set // the last expanded context, refilled by the next (never retained)
 }
 
 // NewClient creates a client with the given identifier and initial document
@@ -227,8 +222,14 @@ func (c *Client) GenerateDel(pos int) (ClientMsg, error) {
 }
 
 func (c *Client) generate(op ot.Op) (ClientMsg, error) {
-	ctx, err := c.integrateLocal(op, statespace.PendingKey)
-	if err != nil {
+	// The context is the processed set as it stands before op. It has two
+	// readers, a recorder and an explicit-context message; without either it
+	// is never built, or every operation would cost O(history).
+	var ctx opid.Set
+	if c.rec != nil || !c.compact {
+		ctx = c.processed()
+	}
+	if err := c.integrateLocal(op, statespace.PendingKey); err != nil {
 		return ClientMsg{}, err
 	}
 	c.record(op, ctx)
@@ -250,7 +251,7 @@ func (c *Client) Receive(m ServerMsg) error {
 		if err := c.space.Promote(m.AckID, statespace.OrderKey(m.Seq)); err != nil {
 			return fmt.Errorf("%s: ack: %w", c.name, err)
 		}
-		c.order.appendEntry(m.AckID, c.id)
+		c.order = append(c.order, m.AckID)
 		return nil
 	case MsgBroadcast:
 		ctx := m.Ctx
@@ -259,12 +260,13 @@ func (c *Client) Receive(m ServerMsg) error {
 				return fmt.Errorf("%s: broadcast with neither explicit nor compact context", c.name)
 			}
 			var err error
-			ctx, err = c.order.expand(*m.Compact)
+			ctx, err = c.order.expand(*m.Compact, c.ctxBuf)
+			c.ctxBuf = ctx
 			if err != nil {
 				return fmt.Errorf("%s: %w", c.name, err)
 			}
 		}
-		c.order.appendEntry(m.Op.ID, m.Origin)
+		c.order = append(c.order, m.Op.ID)
 		c.broadcasts++
 		_, err := c.integrate(m.Op, ctx, statespace.OrderKey(m.Seq), false)
 		return err
@@ -294,111 +296,136 @@ func (c *Client) Read() []list.Elem {
 // Server is the CSS central server. It serializes client operations,
 // maintains its own replicated list (footnote 6 of the paper) and state-
 // space, and redirects original operations.
+//
+// The serialization order is kept once, as the replica's order log. Past the
+// stable frontier the server also keeps each operation with the one counter
+// of its context the log does not give (tail); everything else is a view over
+// the log: SeqOf and Serialized read it, Snapshot is the frontier prefix plus
+// the tail as broadcasts, Save writes it and RestoreServer replays it.
 type Server struct {
 	replica
 	clients []opid.ClientID
-	nextSeq uint64
 	readSeq uint64
 
-	// GC extension state: the serialization order, each client's reported
-	// processed set (a lower bound, learned from message contexts), and how
-	// far the stability frontier has already advanced.
-	serialized []opid.OpID
-	known      map[opid.ClientID]opid.Set
-	frontierAt int
+	// known is a lower bound on what each registered client has processed,
+	// learned from the contexts of its messages.
+	known map[opid.ClientID]progress
 
-	// Join-snapshot state (join.go): the frontier prefix of the
-	// serialization order, the document value at the frontier, and the
-	// replay log of broadcasts past the frontier.
-	frontierOps []opid.OpID
+	// order[:frontierAt] is the stable frontier (see stableLen), frontierDoc
+	// the list value there, and tail[i] the operation at order[frontierAt+i].
+	frontierAt  int
 	frontierDoc list.Doc
-	replay      []ServerMsg
+	tail        []tailEntry
+}
+
+// progress says a replica has processed the first remote logged operations
+// that are not its own, and its own operations up to sequence number own.
+type progress struct {
+	remote int
+	own    uint64
+}
+
+// tailEntry is a serialized operation the frontier has not reached, with the
+// Remote counter of its context; Origin and OwnSeq are the operation's id.
+type tailEntry struct {
+	op     ot.Op
+	remote int
+}
+
+func (e tailEntry) ctx() CompactCtx {
+	return CompactCtx{Origin: e.op.ID.Client, Remote: e.remote, OwnSeq: e.op.ID.Seq}
 }
 
 // NewServer creates the server for the given set of clients.
 func NewServer(clients []opid.ClientID, initial list.Doc, rec core.Recorder, opts ...statespace.Option) *Server {
-	cs := make([]opid.ClientID, len(clients))
-	copy(cs, clients)
-	known := make(map[opid.ClientID]opid.Set, len(cs))
-	for _, c := range cs {
-		known[c] = opid.NewSet()
+	s := &Server{
+		replica: newReplica(opid.ServerName, initial, rec, opts),
+		clients: append([]opid.ClientID(nil), clients...),
+		known:   make(map[opid.ClientID]progress, len(clients)),
 	}
-	var fdoc list.Doc
-	if initial != nil {
-		fdoc = initial.Clone()
-	} else {
-		fdoc = list.NewDocument()
+	for _, c := range clients {
+		s.known[c] = progress{}
 	}
-	return &Server{
-		replica:     newReplica(opid.ServerName, initial, rec, opts),
-		clients:     cs,
-		known:       known,
-		frontierDoc: fdoc,
-	}
+	s.frontierDoc = s.doc.Clone()
+	return s
 }
 
 // Receive processes one client operation: assign the next global sequence
 // number, integrate and execute it, and produce the redirections (to every
-// other client) plus the acknowledgement (to the originator).
+// other client) plus the acknowledgement (to the originator). A refused
+// message — a forged identity, a context no state matches — changes nothing:
+// SeqOf stays the number of operations actually serialized.
 func (s *Server) Receive(m ClientMsg) ([]Addressed, error) {
-	ctx := m.Ctx
-	if ctx == nil {
-		if m.Compact == nil {
-			return nil, fmt.Errorf("server: message from %s with neither explicit nor compact context", m.From)
-		}
-		var err error
-		ctx, err = s.order.expand(*m.Compact)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		m.Ctx = ctx
+	cc, ctx, err := s.contextOf(m)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	// Claim the next sequence number but commit it only after the operation
-	// integrates: a rejected operation (bad context from a broken transport)
-	// must leave the serialization untouched, or SeqOf drifts from the number
-	// of operations actually serialized.
-	seq := s.nextSeq + 1
-	if _, err := s.integrate(m.Op, ctx, statespace.OrderKey(seq), false); err != nil {
+	if err := s.serialize(m.Op, cc.Remote, ctx); err != nil {
 		return nil, err
 	}
-	s.nextSeq = seq
-	s.order.appendEntry(m.Op.ID, m.From)
-	s.serialized = append(s.serialized, m.Op.ID)
-	s.replay = append(s.replay, ServerMsg{
-		Kind:   MsgBroadcast,
-		Op:     m.Op,
-		Ctx:    ctx,
-		Seq:    seq,
-		Origin: m.From,
-	})
-	// The message context is a lower bound on what its sender has processed,
-	// and the sender has certainly processed its own operation. The known
-	// sets are private accumulators, so they grow in place.
-	k := s.known[m.From]
-	for id := range m.Ctx {
-		k.Put(id)
-	}
-	k.Put(m.Op.ID)
+	// The context is a lower bound on what its sender has processed, and the
+	// sender has certainly processed its own operation.
+	s.known[m.From] = progress{remote: cc.Remote, own: m.Op.ID.Seq}
+	seq := s.SeqOf()
 	out := make([]Addressed, 0, len(s.clients))
 	for _, c := range s.clients {
 		if c == m.From {
 			out = append(out, Addressed{To: c, Msg: ServerMsg{Kind: MsgAck, AckID: m.Op.ID, Seq: seq, Origin: m.From}})
 			continue
 		}
-		bm := ServerMsg{
-			Kind:   MsgBroadcast,
-			Op:     m.Op,
-			Seq:    seq,
-			Origin: m.From,
-		}
-		if s.compact && m.Compact != nil {
-			bm.Compact = m.Compact
+		bm := ServerMsg{Kind: MsgBroadcast, Op: m.Op, Seq: seq, Origin: m.From}
+		if s.compact {
+			bm.Compact = &cc
 		} else {
-			bm.Ctx = m.Ctx
+			bm.Ctx = ctx
 		}
 		out = append(out, Addressed{To: c, Msg: bm})
 	}
 	return out, nil
+}
+
+// contextOf checks that a message says only what its sender can, and returns
+// its context in both forms. The log files an operation under id.Client, so a
+// client that could name another as author would serialize operations in the
+// victim's sequence and wedge it on ErrDuplicateOp: the sender must be
+// registered, the operation and a compact context must be its own, and an
+// explicit context must be exactly what its two counters expand to — the only
+// shape a FIFO client's context has, and the one a join or restart replays.
+func (s *Server) contextOf(m ClientMsg) (CompactCtx, opid.Set, error) {
+	cc := CompactCtx{Origin: m.From, OwnSeq: m.Op.ID.Seq}
+	if _, ok := s.known[m.From]; !ok || m.Op.ID.Client != m.From {
+		return cc, nil, fmt.Errorf("operation %s sent by %s, who is not its registered author", m.Op.ID, m.From)
+	}
+	switch {
+	case m.Ctx != nil:
+		for id := range m.Ctx {
+			if id.Client != m.From {
+				cc.Remote++
+			}
+		}
+		if want, err := s.order.expand(cc, nil); err != nil || !want.Equal(m.Ctx) {
+			return cc, nil, fmt.Errorf("context %s of %s is not one %s can have", m.Ctx, m.Op.ID, m.From)
+		}
+		return cc, m.Ctx, nil
+	case m.Compact == nil:
+		return cc, nil, fmt.Errorf("message from %s with neither explicit nor compact context", m.From)
+	case m.Compact.Origin != cc.Origin || m.Compact.OwnSeq != cc.OwnSeq:
+		return cc, nil, fmt.Errorf("compact context %+v does not belong to operation %s", *m.Compact, m.Op.ID)
+	}
+	ctx, err := s.order.expand(*m.Compact, nil)
+	return *m.Compact, ctx, err
+}
+
+// serialize appends one operation to the log: it is integrated at its context
+// under the next sequence number, executed, and kept in the tail. An
+// operation that does not integrate leaves the log untouched.
+func (s *Server) serialize(op ot.Op, remote int, ctx opid.Set) error {
+	if _, err := s.integrate(op, ctx, statespace.OrderKey(len(s.order)+1), false); err != nil {
+		return err
+	}
+	s.order = append(s.order, op.ID)
+	s.tail = append(s.tail, tailEntry{op: op, remote: remote})
+	return nil
 }
 
 // Read records a do(Read, w) event at the server.
@@ -413,39 +440,62 @@ func (s *Server) Read() []list.Elem {
 }
 
 // SeqOf returns the number of operations the server has serialized so far.
-func (s *Server) SeqOf() uint64 { return s.nextSeq }
+func (s *Server) SeqOf() uint64 { return uint64(len(s.order)) }
 
 // Serialized returns a copy of the serialization order (operation identities
 // in global sequence order). Position i holds the operation with sequence
 // number i+1.
 func (s *Server) Serialized() []opid.OpID {
-	out := make([]opid.OpID, len(s.serialized))
-	copy(out, s.serialized)
-	return out
+	return append([]opid.OpID(nil), s.order...)
 }
 
 // Clients returns a copy of the registered client identifiers.
 func (s *Server) Clients() []opid.ClientID {
-	out := make([]opid.ClientID, len(s.clients))
-	copy(out, s.clients)
-	return out
+	return append([]opid.ClientID(nil), s.clients...)
 }
 
-// StableFrontier computes the longest prefix of the serialization order
-// every client is known (from reported message contexts) to have processed.
-// By Lemma 6.4, a state with exactly that operation set lies on the leftmost
-// path from the initial state, so it is a valid compaction target.
-func (s *Server) StableFrontier() opid.Set {
-	frontier := opid.NewSet()
-	for _, id := range s.serialized {
-		for _, c := range s.clients {
-			if !s.known[c].Contains(id) {
-				return frontier
+// stableLen is the length of the stable frontier, the longest prefix P of the
+// log such that
+//
+//   - every registered client is known to have processed P, so no operation
+//     in flight or still to come has a context below it (FIFO), and
+//   - every operation that stays in the tail was generated on a state
+//     containing P, so a replica rooted at P — a late joiner, a restarted
+//     server — has the matching state of each one it replays. An operation
+//     serialized late can have been generated early; its sender's later
+//     messages say nothing about it.
+//
+// Both are one inequality: a replica that has processed remote foreign
+// operations, own of whose operations lie in a prefix of length k, has
+// processed that prefix iff k − own ≤ remote. The scan walks k down from the
+// whole log; an operation passed on the way joins the tail and its context
+// replaces its author's bound (per author the earliest tail entry is the
+// weakest). By Lemma 6.4 a state with exactly P's operations lies on the
+// leftmost path from the root, so P is a valid compaction target.
+func (s *Server) stableLen() int {
+	bound := make(map[opid.ClientID]progress, len(s.known))
+	for c, p := range s.known {
+		bound[c] = p
+	}
+	covers := func(k int) bool {
+		for _, p := range bound {
+			if k-int(p.own) > p.remote {
+				return false
 			}
 		}
-		frontier.Put(id)
+		return true
 	}
-	return frontier
+	k := len(s.order)
+	for ; k > s.frontierAt && !covers(k); k-- {
+		e := s.tail[k-1-s.frontierAt]
+		bound[e.op.ID.Client] = progress{remote: e.remote, own: e.op.ID.Seq - 1}
+	}
+	return k
+}
+
+// StableFrontier returns the stable frontier as an operation set.
+func (s *Server) StableFrontier() opid.Set {
+	return opid.NewSet(s.order[:s.stableLen()]...)
 }
 
 // AdvanceFrontier runs the garbage-collection extension: it computes the
@@ -456,16 +506,15 @@ func (s *Server) StableFrontier() opid.Set {
 // generated after its originator processed the frontier (see
 // statespace.CompactTo), so its context contains the frontier.
 func (s *Server) AdvanceFrontier() ([]Addressed, error) {
-	frontier := s.StableFrontier()
-	if len(frontier) == s.frontierAt {
+	k := s.stableLen()
+	if k == s.frontierAt {
 		return nil, nil
 	}
-	// Advance the frontier document and operation prefix along the leftmost
-	// path from the old frontier state (the space's current root) to the
-	// new one, BEFORE compaction prunes that path (join.go relies on these).
-	delta := len(frontier) - s.frontierAt
+	// Advance the frontier document along the leftmost path from the old
+	// frontier state (the space's current root) to the new one, BEFORE
+	// compaction prunes that path.
 	cur := s.space.Initial()
-	for k := 0; k < delta; k++ {
+	for range k - s.frontierAt {
 		if cur.EdgeCount() == 0 {
 			return nil, fmt.Errorf("server: frontier walk stuck at %s", cur)
 		}
@@ -473,21 +522,14 @@ func (s *Server) AdvanceFrontier() ([]Addressed, error) {
 		if err := ot.Apply(s.frontierDoc, e.Op); err != nil {
 			return nil, fmt.Errorf("server: frontier doc: %w", err)
 		}
-		s.frontierOps = append(s.frontierOps, e.Op.ID)
 		cur = e.To
 	}
+	frontier := opid.NewSet(s.order[:k]...)
 	if err := s.space.CompactTo(frontier); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	s.frontierAt = len(frontier)
-	// Trim the replay log: operations inside the frontier need no replay.
-	kept := s.replay[:0]
-	for _, m := range s.replay {
-		if m.Seq > uint64(s.frontierAt) {
-			kept = append(kept, m)
-		}
-	}
-	s.replay = kept
+	s.tail = append(s.tail[:0:0], s.tail[k-s.frontierAt:]...)
+	s.frontierAt = k
 	out := make([]Addressed, 0, len(s.clients))
 	for _, c := range s.clients {
 		out = append(out, Addressed{To: c, Msg: ServerMsg{Kind: MsgFrontier, Ctx: frontier}})

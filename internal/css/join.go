@@ -18,20 +18,21 @@ import (
 // processed — and replays the (short) suffix of operations serialized after
 // it:
 //
-//  1. the server maintains, alongside the frontier (see AdvanceFrontier),
+//  1. the server keeps, for the log's stable prefix (see stableLen), only
 //     the frontier document (the list value at the frontier state, advanced
-//     along the leftmost path, Lemma 6.4) and a replay log of the
-//     broadcasts for every operation past the frontier;
-//  2. Snapshot() captures frontier identifiers, frontier document, and the
-//     replay log;
+//     along the leftmost path, Lemma 6.4), and for every operation past it
+//     the operation and its compact context (Server.tail);
+//  2. Snapshot() is that: frontier identifiers, frontier document, and the
+//     tail rendered as the broadcasts the joiner missed;
 //  3. NewClientFromSnapshot roots a fresh state-space at the frontier
 //     (statespace.NewAt) and replays the suffix through the ordinary
 //     Receive path, arriving at the server's current state;
 //  4. AddClient registers the newcomer for future redirections.
 //
-// Safety is the CompactTo contract: every in-flight and future operation
-// has a context at or above the frontier, so the newcomer's rooted space
-// always contains the matching states it needs.
+// Safety is the CompactTo contract plus stableLen's second bound: every
+// in-flight and future operation has a context at or above the frontier, and
+// so has every operation of the replayed suffix, so the newcomer's rooted
+// space always contains the matching states it needs.
 
 // Snapshot is the state a late joiner needs.
 type Snapshot struct {
@@ -49,12 +50,14 @@ type Snapshot struct {
 // to keep the replay suffix short.
 func (s *Server) Snapshot() *Snapshot {
 	snap := &Snapshot{
-		FrontierIDs: make([]opid.OpID, len(s.frontierOps)),
-		FrontierDoc: append([]list.Elem(nil), s.frontierDoc.Elems()...),
-		Replay:      make([]ServerMsg, len(s.replay)),
+		FrontierIDs: append([]opid.OpID(nil), s.order[:s.frontierAt]...),
+		FrontierDoc: s.frontierDoc.Elems(),
+		Replay:      make([]ServerMsg, len(s.tail)),
 	}
-	copy(snap.FrontierIDs, s.frontierOps)
-	copy(snap.Replay, s.replay)
+	for i, e := range s.tail {
+		cc := e.ctx()
+		snap.Replay[i] = ServerMsg{Kind: MsgBroadcast, Op: e.op, Compact: &cc, Seq: uint64(s.frontierAt + i + 1), Origin: cc.Origin}
+	}
 	return snap
 }
 
@@ -63,18 +66,12 @@ func (s *Server) Snapshot() *Snapshot {
 // before any further operations are serialized (single-threaded harnesses
 // call Snapshot and AddClient back to back).
 func (s *Server) AddClient(id opid.ClientID) error {
-	for _, c := range s.clients {
-		if c == id {
-			return fmt.Errorf("server: client %s already registered", id)
-		}
+	if _, ok := s.known[id]; ok {
+		return fmt.Errorf("server: client %s already registered", id)
 	}
 	s.clients = append(s.clients, id)
 	// The joiner has processed everything up to the snapshot point.
-	known := opid.NewSet(s.frontierOps...)
-	for _, m := range s.replay {
-		known.Put(m.Op.ID)
-	}
-	s.known[id] = known
+	s.known[id] = progress{remote: len(s.order)}
 	return nil
 }
 
@@ -115,10 +112,8 @@ func NewClientFromSnapshot(id opid.ClientID, snap *Snapshot, rec core.Recorder, 
 		},
 		id: id,
 	}
-	for _, opID := range snap.FrontierIDs {
-		c.order.appendEntry(opID, opID.Client)
-		c.broadcasts++
-	}
+	c.order = append(c.order, snap.FrontierIDs...)
+	c.broadcasts = len(c.order)
 	for _, m := range snap.Replay {
 		if err := c.Receive(m); err != nil {
 			return nil, fmt.Errorf("join: replay: %w", err)

@@ -1,6 +1,7 @@
 package css
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -14,92 +15,73 @@ import (
 //
 // Unlike a late join (join.go), which adopts the server's state and loses
 // anything unacknowledged, Save/RestoreClient round-trips the client's OWN
-// replica state: document, processed set, state-space (including pending
-// transitions awaiting acknowledgement), sequence counters, and the
-// serialization-order log. A restored client continues exactly where the
-// saved one stopped; the transport is assumed to retain undelivered
-// messages (the FIFO-channel model — reconnect semantics with resend and
-// deduplication are transport concerns outside this package).
-
-type elemStateJSON struct {
-	Val string `json:"val"`
-	C   int32  `json:"c"`
-	S   uint64 `json:"s"`
-}
-
-type orderEntryJSON struct {
-	C      int32  `json:"c"`
-	S      uint64 `json:"s"`
-	Origin int32  `json:"origin"`
-}
+// replica state: document, state-space (including pending transitions
+// awaiting acknowledgement; its final state is the processed set), sequence
+// counters, and the serialization-order log. A restored client continues
+// exactly where the saved one stopped; the transport is assumed to retain
+// undelivered messages (the FIFO-channel model — reconnect semantics with
+// resend and deduplication are transport concerns outside this package).
 
 type clientStateJSON struct {
 	ID         int32             `json:"id"`
-	Doc        []elemStateJSON   `json:"doc"`
-	Processed  []elemStateJSON   `json:"processed"` // Val unused
+	Doc        []core.ElemJSON   `json:"doc"`
 	NextSeq    uint64            `json:"nextSeq"`
 	ReadSeq    uint64            `json:"readSeq"`
 	Broadcasts int               `json:"broadcasts"`
 	Compact    bool              `json:"compact"`
-	Order      []orderEntryJSON  `json:"order"`
+	Order      []core.OpIDJSON   `json:"order"`
 	Space      *statespace.Space `json:"space"`
 }
 
-type knownJSON struct {
-	Client int32           `json:"client"`
-	Ops    []core.OpIDJSON `json:"ops"`
+// Server persistence — restart and migration.
+//
+// The log determines the server: the blob is the frontier prefix of the
+// order with the document there, the operations past it with their context
+// counters, and per client the two counters of what it has processed.
+// RestoreServer rebuilds the rest exactly as a late joiner does — a space
+// rooted at the frontier, the tail integrated in order — so the blob grows
+// with the operations past the frontier, not with states × operations.
+//
+// A blob is outside input. Fields this format does not have are refused by
+// name (a blob of the earlier format carried the state-space and five copies
+// of the order; there is no converter), and a tail that does not integrate is
+// an error naming its index, never a half-restored serializer.
+
+type progressJSON struct {
+	Client int32  `json:"client"`
+	Remote int    `json:"remote"`
+	Own    uint64 `json:"own"`
+}
+
+type tailJSON struct {
+	Op     core.OpJSON `json:"op"`
+	Remote int         `json:"remote"`
 }
 
 type serverStateJSON struct {
-	Clients     []int32           `json:"clients"`
-	Doc         []core.ElemJSON   `json:"doc"`
-	NextSeq     uint64            `json:"nextSeq"`
-	ReadSeq     uint64            `json:"readSeq"`
-	Compact     bool              `json:"compact"`
-	Order       []orderEntryJSON  `json:"order"`
-	Space       *statespace.Space `json:"space"`
-	Serialized  []core.OpIDJSON   `json:"serialized"`
-	Known       []knownJSON       `json:"known"`
-	FrontierAt  int               `json:"frontierAt"`
-	FrontierOps []core.OpIDJSON   `json:"frontierOps"`
-	FrontierDoc []core.ElemJSON   `json:"frontierDoc"`
-	Replay      []ServerMsg       `json:"replay"`
+	Clients     []progressJSON  `json:"clients"`
+	ReadSeq     uint64          `json:"readSeq"`
+	Compact     bool            `json:"compact"`
+	Frontier    []core.OpIDJSON `json:"frontier"`
+	FrontierDoc []core.ElemJSON `json:"frontierDoc"`
+	Tail        []tailJSON      `json:"tail"`
 }
 
-// Save serializes the server's full state: replica (space, document, order
-// log), serialization bookkeeping, GC-extension accumulators, and the join-
-// snapshot state. A restored server continues serializing exactly where the
-// saved one stopped — the restart-resume path of the network runtime depends
-// on SeqOf and the replay log surviving intact.
+// Save serializes the server: the log and the counters over it. A restored
+// server continues serializing exactly where the saved one stopped — the
+// restart-resume path of the network runtime depends on SeqOf and the join
+// snapshot surviving intact.
 func (s *Server) Save() ([]byte, error) {
-	st := serverStateJSON{
-		NextSeq:    s.nextSeq,
-		ReadSeq:    s.readSeq,
-		Compact:    s.compact,
-		Space:      s.space,
-		FrontierAt: s.frontierAt,
-		Replay:     s.replay,
-	}
+	st := serverStateJSON{ReadSeq: s.readSeq, Compact: s.compact, FrontierDoc: docToJSON(s.frontierDoc)}
 	for _, c := range s.clients {
-		st.Clients = append(st.Clients, int32(c))
+		p := s.known[c]
+		st.Clients = append(st.Clients, progressJSON{Client: int32(c), Remote: p.remote, Own: p.own})
 	}
-	for _, e := range s.doc.Elems() {
-		st.Doc = append(st.Doc, core.ElemToJSON(e))
+	for _, id := range s.order[:s.frontierAt] {
+		st.Frontier = append(st.Frontier, core.IDToJSON(id))
 	}
-	for _, e := range s.order.entries {
-		st.Order = append(st.Order, orderEntryJSON{C: int32(e.id.Client), S: e.id.Seq, Origin: int32(e.origin)})
-	}
-	for _, id := range s.serialized {
-		st.Serialized = append(st.Serialized, core.IDToJSON(id))
-	}
-	for _, c := range s.clients { // iterate clients for deterministic output
-		st.Known = append(st.Known, knownJSON{Client: int32(c), Ops: core.SetToJSON(s.known[c])})
-	}
-	for _, id := range s.frontierOps {
-		st.FrontierOps = append(st.FrontierOps, core.IDToJSON(id))
-	}
-	for _, e := range s.frontierDoc.Elems() {
-		st.FrontierDoc = append(st.FrontierDoc, core.ElemToJSON(e))
+	for _, e := range s.tail {
+		st.Tail = append(st.Tail, tailJSON{Op: core.OpToJSON(e.op), Remote: e.remote})
 	}
 	return json.Marshal(st)
 }
@@ -107,61 +89,60 @@ func (s *Server) Save() ([]byte, error) {
 // RestoreServer reconstructs a server from Save's output. rec may be nil.
 func RestoreServer(data []byte, rec core.Recorder) (*Server, error) {
 	var st serverStateJSON
-	st.Space = statespace.New(nil)
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("css: restore server: %w", err)
-	}
-	doc, err := docFromJSON(st.Doc)
-	if err != nil {
+	if err := unmarshalStrict(data, &st); err != nil {
 		return nil, fmt.Errorf("css: restore server: %w", err)
 	}
 	fdoc, err := docFromJSON(st.FrontierDoc)
 	if err != nil {
-		return nil, fmt.Errorf("css: restore server: frontier doc: %w", err)
+		return nil, fmt.Errorf("css: restore server: frontierDoc: %w", err)
 	}
 	s := &Server{
-		replica: replica{
-			name:    opid.ServerName,
-			space:   st.Space,
-			doc:     doc,
-			rec:     rec,
-			compact: st.Compact,
-		},
-		nextSeq:     st.NextSeq,
+		replica:     replica{name: opid.ServerName, doc: fdoc.Clone(), rec: rec, compact: st.Compact},
 		readSeq:     st.ReadSeq,
-		known:       make(map[opid.ClientID]opid.Set, len(st.Known)),
-		frontierAt:  st.FrontierAt,
+		known:       make(map[opid.ClientID]progress, len(st.Clients)),
+		frontierAt:  len(st.Frontier),
 		frontierDoc: fdoc,
-		replay:      st.Replay,
 	}
-	for _, c := range st.Clients {
-		s.clients = append(s.clients, opid.ClientID(c))
+	for _, ij := range st.Frontier {
+		s.order = append(s.order, core.IDFromJSON(ij))
 	}
-	for _, e := range st.Order {
-		s.order.appendEntry(opid.OpID{Client: opid.ClientID(e.C), Seq: e.S}, opid.ClientID(e.Origin))
-	}
-	if uint64(len(st.Serialized)) != st.NextSeq {
-		return nil, fmt.Errorf("css: restore server: %d serialized ops disagree with nextSeq %d", len(st.Serialized), st.NextSeq)
-	}
-	for _, ij := range st.Serialized {
-		s.serialized = append(s.serialized, core.IDFromJSON(ij))
-	}
-	for _, k := range st.Known {
-		id := opid.ClientID(k.Client)
-		if _, dup := s.known[id]; dup {
-			return nil, fmt.Errorf("css: restore server: duplicate known set for %s", id)
+	s.space = statespace.NewAt(opid.NewSet(s.order...), fdoc)
+	for i, t := range st.Tail {
+		e := tailEntry{remote: t.Remote}
+		if e.op, err = core.OpFromJSON(t.Op); err != nil {
+			return nil, fmt.Errorf("css: restore server: tail[%d].op: %w", i, err)
 		}
-		s.known[id] = core.SetFromJSON(k.Ops)
-	}
-	for _, c := range s.clients {
-		if _, ok := s.known[c]; !ok {
-			return nil, fmt.Errorf("css: restore server: client %s without known set", c)
+		ctx, err := s.order.expand(e.ctx(), nil)
+		if err == nil {
+			err = s.serialize(e.op, e.remote, ctx)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("css: restore server: tail[%d]: %w", i, err)
 		}
 	}
-	for _, ij := range st.FrontierOps {
-		s.frontierOps = append(s.frontierOps, core.IDFromJSON(ij))
+	for i, c := range st.Clients {
+		if err := s.AddClient(opid.ClientID(c.Client)); err != nil {
+			return nil, fmt.Errorf("css: restore server: clients[%d]: %w", i, err)
+		}
+		s.known[opid.ClientID(c.Client)] = progress{remote: c.Remote, own: c.Own}
 	}
 	return s, nil
+}
+
+// unmarshalStrict is json.Unmarshal that refuses fields v does not have.
+func unmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+func docToJSON(doc list.Doc) []core.ElemJSON {
+	elems := doc.Elems()
+	out := make([]core.ElemJSON, len(elems))
+	for i, e := range elems {
+		out[i] = core.ElemToJSON(e)
+	}
+	return out
 }
 
 func docFromJSON(elems []core.ElemJSON) (list.Doc, error) {
@@ -182,20 +163,15 @@ func docFromJSON(elems []core.ElemJSON) (list.Doc, error) {
 func (c *Client) Save() ([]byte, error) {
 	st := clientStateJSON{
 		ID:         int32(c.id),
+		Doc:        docToJSON(c.doc),
 		NextSeq:    c.nextSeq,
 		ReadSeq:    c.readSeq,
 		Broadcasts: c.broadcasts,
 		Compact:    c.compact,
 		Space:      c.space,
 	}
-	for _, e := range c.doc.Elems() {
-		st.Doc = append(st.Doc, elemStateJSON{Val: string(e.Val), C: int32(e.ID.Client), S: e.ID.Seq})
-	}
-	for _, id := range c.processed().Sorted() {
-		st.Processed = append(st.Processed, elemStateJSON{C: int32(id.Client), S: id.Seq})
-	}
-	for _, e := range c.order.entries {
-		st.Order = append(st.Order, orderEntryJSON{C: int32(e.id.Client), S: e.id.Seq, Origin: int32(e.origin)})
+	for _, id := range c.order {
+		st.Order = append(st.Order, core.IDToJSON(id))
 	}
 	return json.Marshal(st)
 }
@@ -203,32 +179,13 @@ func (c *Client) Save() ([]byte, error) {
 // RestoreClient reconstructs a client from Save's output. rec may be nil;
 // an editor or execution observer must be re-attached by the caller.
 func RestoreClient(data []byte, rec core.Recorder) (*Client, error) {
-	var st clientStateJSON
-	st.Space = statespace.New(nil)
-	if err := json.Unmarshal(data, &st); err != nil {
+	st := clientStateJSON{Space: statespace.New(nil)}
+	if err := unmarshalStrict(data, &st); err != nil {
 		return nil, fmt.Errorf("css: restore: %w", err)
 	}
-	doc := list.NewDocument()
-	for i, e := range st.Doc {
-		r := []rune(e.Val)
-		if len(r) != 1 {
-			return nil, fmt.Errorf("css: restore: bad element value %q", e.Val)
-		}
-		if err := doc.Insert(i, list.Elem{Val: r[0], ID: opid.OpID{Client: opid.ClientID(e.C), Seq: e.S}}); err != nil {
-			return nil, fmt.Errorf("css: restore: %w", err)
-		}
-	}
-	// The persisted processed set is retained in the format for forward
-	// compatibility but not needed on restore: it is definitionally the
-	// restored space's final operation set. Verify rather than trust it.
-	restored := st.Space.Final().Ops()
-	if len(st.Processed) != len(restored) {
-		return nil, fmt.Errorf("css: restore: processed set size %d disagrees with space final state %d", len(st.Processed), len(restored))
-	}
-	for _, e := range st.Processed {
-		if !restored.Contains(opid.OpID{Client: opid.ClientID(e.C), Seq: e.S}) {
-			return nil, fmt.Errorf("css: restore: processed op c%d:%d not in space final state", e.C, e.S)
-		}
+	doc, err := docFromJSON(st.Doc)
+	if err != nil {
+		return nil, fmt.Errorf("css: restore: %w", err)
 	}
 	c := &Client{
 		replica: replica{
@@ -243,8 +200,8 @@ func RestoreClient(data []byte, rec core.Recorder) (*Client, error) {
 		readSeq:    st.ReadSeq,
 		broadcasts: st.Broadcasts,
 	}
-	for _, e := range st.Order {
-		c.order.appendEntry(opid.OpID{Client: opid.ClientID(e.C), Seq: e.S}, opid.ClientID(e.Origin))
+	for _, ij := range st.Order {
+		c.order = append(c.order, core.IDFromJSON(ij))
 	}
 	return c, nil
 }

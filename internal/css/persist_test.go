@@ -2,6 +2,7 @@ package css_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"jupiter/internal/css"
@@ -137,7 +138,7 @@ func TestSaveRestoreWithCompactContexts(t *testing.T) {
 }
 
 // TestServerSaveRestoreMidSession snapshots the SERVER mid-session — with a
-// GC frontier already advanced, a replay log, and client ops still in flight
+// GC frontier already advanced, a tail past it, and client ops still in flight
 // — restores it, and finishes the session through the restored server. This
 // is the crash-recovery path of a jupiterd restart from disk.
 func TestServerSaveRestoreMidSession(t *testing.T) {
@@ -154,7 +155,7 @@ func TestServerSaveRestoreMidSession(t *testing.T) {
 	}
 	r.fan(outs)
 	r.pump()
-	// One more serialized op past the frontier keeps the replay log non-empty.
+	// One more serialized op past the frontier keeps the tail non-empty.
 	r.typeAt(2, 'd', 3)
 	r.pump()
 
@@ -215,8 +216,13 @@ func TestServerSaveRestoreMidSession(t *testing.T) {
 	r.converged()
 }
 
-// TestRestoreServerRejectsCorruptState: truncated or inconsistent saves must
-// fail loudly, never produce a half-restored serializer.
+// TestRestoreServerRejectsCorruptState: the blob is outside input. Truncated,
+// malformed or inconsistent saves fail with an error naming the field at
+// fault — never a panic, an index out of range or a half-restored serializer.
+// The format has one copy of everything (the frontier is its identifier list,
+// the tail's positions follow from it), so a frontier index past the order or
+// a tail of the wrong length cannot be written down; a blob that tries, or one
+// of the earlier format, is refused at the first field this format lacks.
 func TestRestoreServerRejectsCorruptState(t *testing.T) {
 	r := newJoinRig(t, 2)
 	r.typeAt(1, 'a', 0)
@@ -225,16 +231,38 @@ func TestRestoreServerRejectsCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]byte{
-		"truncated":                good[:len(good)/2],
-		"not json":                 []byte("\x00\x01"),
-		"serialized mismatch":      []byte(`{"clients":[1],"nextSeq":3,"serialized":[{"client":1,"seq":1}],"known":[{"client":1,"ops":[]}],"space":{"states":{"":{"ops":[]}},"initial":"","final":""}}`),
-		"client without known set": []byte(`{"clients":[1,2],"nextSeq":0,"known":[{"client":1,"ops":[]}],"space":{"states":{"":{"ops":[]}},"initial":"","final":""}}`),
+	const (
+		head  = `{"clients":[{"client":1,"remote":0,"own":1}],"frontier":[],"frontierDoc":[],"tail":[`
+		op    = `{"kind":"ins","val":"a","pos":0,"id":{"client":1,"seq":1},"pri":1}`
+		entry = `{"op":` + op + `,"remote":0}`
+	)
+	cases := map[string]struct{ blob, names string }{
+		"truncated": {string(good[:len(good)/2]), "restore server"},
+		"not json":  {"\x00\x01", "restore server"},
+		"earlier format": {`{"clients":[1],"nextSeq":0,"known":[{"client":1,"ops":[]}],"space":{"states":{"":{"ops":[]}},"initial":"","final":""}}`,
+			"clients"},
+		"earlier format, no clients":    {`{"nextSeq":3,"serialized":[{"client":1,"seq":1}],"space":{}}`, `"nextSeq"`},
+		"frontier index beside the log": {`{"frontierAt":7,"frontier":[],"tail":[]}`, `"frontierAt"`},
+		"tail op of no kind":            {head + `{"op":{"kind":"zap","id":{"client":1,"seq":1}},"remote":0}]}`, "tail[0].op"},
+		"tail context past the log":     {head + `{"op":` + op + `,"remote":5}]}`, "tail[0]"},
+		"tail context below zero":       {head + `{"op":` + op + `,"remote":-1}]}`, "tail[0]"},
+		"tail op with a gap before it":  {head + `{"op":{"kind":"ins","val":"a","pos":0,"id":{"client":1,"seq":9}},"remote":0}]}`, "tail[0]"},
+		"tail op from a huge own seq":   {head + `{"op":{"kind":"ins","val":"a","pos":0,"id":{"client":1,"seq":4611686018427387904}},"remote":0}]}`, "tail[0]"},
+		"tail op twice":                 {head + entry + `,` + entry + `]}`, "tail[1]"},
+		"tail op that cannot execute":   {head + `{"op":{"kind":"ins","val":"a","pos":4,"id":{"client":1,"seq":1}},"remote":0}]}`, "tail[0]"},
+		"frontier document element":     {`{"frontierDoc":[{"val":"xy","id":{"client":1,"seq":1}}]}`, "frontierDoc"},
+		"client listed twice":           {`{"clients":[{"client":1},{"client":1}]}`, "clients[1]"},
 	}
-	for name, data := range cases {
-		if _, err := css.RestoreServer(data, nil); err == nil {
+	for name, c := range cases {
+		_, err := css.RestoreServer([]byte(c.blob), nil)
+		if err == nil {
 			t.Errorf("%s: restore accepted corrupt state", name)
+		} else if !strings.Contains(err.Error(), c.names) {
+			t.Errorf("%s: error %q does not name %s", name, err, c.names)
 		}
+	}
+	if _, err := css.RestoreServer([]byte(head+entry+`]}`), nil); err != nil {
+		t.Errorf("the well-formed blob the cases are cut from: %v", err)
 	}
 }
 

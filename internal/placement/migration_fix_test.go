@@ -307,3 +307,54 @@ func TestStaticClientMovedWithoutAddrsFailsFast(t *testing.T) {
 		t.Fatalf("error = %v, want terminal no-placement-route failure", err)
 	}
 }
+
+// TestMigrationOfLongDocument: the transfer is one frame, and the blob used to
+// carry the state-space — 7 MB at 500 operations and quadratic, so no document
+// past ~540 could move under the 8 MiB frame cap. It is the log now: a
+// 1 500-op document migrates at the default MaxFrame, and its writer resumes
+// its session on the target.
+func TestMigrationOfLongDocument(t *testing.T) {
+	t.Cleanup(migLeakCheck(t))
+	const (
+		doc = "mig-long"
+		ops = 1500
+	)
+	engines := []*server.Engine{startShardRec(t, "s0", nil), startShardRec(t, "s1", nil)}
+	tbl := wire.Table{Version: 1, VNodes: 16, Shards: []wire.Shard{
+		{ID: "s0", Addrs: []string{engines[0].Addr()}},
+		{ID: "s1", Addrs: []string{engines[1].Addr()}},
+	}}
+	svc, err := placement.NewService(placement.Config{Addr: "127.0.0.1:0", Table: tbl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	w := migDialRetry(t, client.Config{Placement: svc.Addr(), Doc: doc, MinBackoff: 2 * time.Millisecond})
+	defer w.Close()
+	typeText(t, w, strings.Repeat("0123456789", ops/10))
+	if err := w.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	target := otherShard(svc, doc)
+	if err := svc.MigrateTo(doc, target); err != nil {
+		t.Fatalf("migrating a %d-op document: %v", ops, err)
+	}
+	typeText(t, w, "!")
+	if err := w.Sync(ctx); err != nil {
+		t.Fatalf("writer did not resume on %s: %v", target, err)
+	}
+	for _, eng := range engines {
+		if st, ok := eng.DocState(doc); ok && (st.Seq != ops+1 || st.Text != w.Text()) {
+			t.Errorf("hosting shard has seq %d and %d characters, writer %d", st.Seq, len(st.Text), len(w.Text()))
+		}
+	}
+	if got := svc.Metrics().Counter("migrations_total").Value(); got != 1 {
+		t.Errorf("migrations_total = %d, want 1", got)
+	}
+}

@@ -62,46 +62,34 @@ func TestResumeReplaysCachedBodies(t *testing.T) {
 
 // expectV1Refused writes one protocol v1 frame — a JSON body whose hello
 // carries no codec offer — as the first frame of a connection, and requires
-// an err frame with CodeProtocol followed by EOF. conn.reject flushes its
-// notice best-effort (the close that follows can cut the write short), so a
-// connection that ends with no frame at all is retried; any frame other than
-// the refusal fails at once.
+// an err frame with CodeProtocol followed by EOF. conn.close leaves the write
+// loop its flush budget, so the notice always arrives: no retry.
 func expectV1Refused(t *testing.T, addr string, hello *wire.Frame) {
 	t.Helper()
 	body, err := wire.Encode(hello)
 	if err != nil {
 		t.Fatal(err)
 	}
-	try := func() bool {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-		st := wire.NewStream(nc, 0)
-		if err := st.WriteRaw(body); err != nil {
-			t.Fatal(err)
-		}
-		f, err := st.Read()
-		if err != nil {
-			t.Logf("closed without a frame (%v), retrying", err)
-			return false
-		}
-		if f.Type != wire.TError || f.Error.Code != wire.CodeProtocol || !strings.Contains(f.Error.Msg, "protocol v1") {
-			t.Fatalf("got %+v (%+v), want %s error naming protocol v1", f, f.Error, wire.CodeProtocol)
-		}
-		if _, err := st.Read(); !errors.Is(err, io.EOF) {
-			t.Fatalf("after the err frame: %v, want EOF", err)
-		}
-		return true
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for attempt := 0; attempt < 10; attempt++ {
-		if try() {
-			return
-		}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+	st := wire.NewStream(nc, 0)
+	if err := st.WriteRaw(body); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no attempt was answered with an err frame")
+	f, err := st.Read()
+	if err != nil {
+		t.Fatalf("refused with no err frame: %v", err)
+	}
+	if f.Type != wire.TError || f.Error.Code != wire.CodeProtocol || !strings.Contains(f.Error.Msg, "protocol v1") {
+		t.Fatalf("got %+v (%+v), want %s error naming protocol v1", f, f.Error, wire.CodeProtocol)
+	}
+	if _, err := st.Read(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the err frame: %v, want EOF", err)
+	}
 }
 
 func TestV1HelloRejected(t *testing.T) {

@@ -27,7 +27,6 @@ type docHost struct {
 	srv     *css.Server
 	clients map[opid.ClientID]*clientSlot
 	nextID  int32
-	applied uint64
 
 	// migrating freezes the document while its state transfers to another
 	// shard: joins and ops are rejected with the retryable backpressure code,
@@ -360,7 +359,6 @@ func (h *docHost) doOp(c *conn, msg css.ClientMsg) bool {
 	h.eng.reg.Counter("ops_applied").Inc()
 	h.eng.docRate.Inc(h.name)
 	slot.lastOpSeq = msg.Op.ID.Seq
-	h.applied++
 	outs = h.foldFrontier(outs)
 	if r := h.eng.repl; r != nil {
 		// Replicated: hold the outputs until a majority holds the entry.
@@ -378,7 +376,7 @@ func (h *docHost) doOp(c *conn, msg css.ClientMsg) bool {
 // outputs. Deterministic given the op stream and GCEvery, so leader and
 // followers fold identically.
 func (h *docHost) foldFrontier(outs []css.Addressed) []css.Addressed {
-	if h.eng.cfg.GCEvery <= 0 || h.applied%uint64(h.eng.cfg.GCEvery) != 0 {
+	if h.eng.cfg.GCEvery <= 0 || h.srv.SeqOf()%uint64(h.eng.cfg.GCEvery) != 0 {
 		return outs
 	}
 	fouts, err := h.srv.AdvanceFrontier()
@@ -422,7 +420,6 @@ func (h *docHost) applyReplicated(e replog.Entry) {
 		if slot, ok := h.clients[msg.From]; ok && msg.Op.ID.Seq > slot.lastOpSeq {
 			slot.lastOpSeq = msg.Op.ID.Seq
 		}
-		h.applied++
 		h.eng.reg.Counter("ops_applied").Inc()
 		h.eng.docRate.Inc(h.name)
 		h.pending[e.Index] = &pendingRelease{outs: h.foldFrontier(outs)}

@@ -45,9 +45,11 @@ import (
 // on the target even while placement believes the migration failed.
 //
 // The transfer rides the ordinary wire layer, so the blob must fit in one
-// frame (MaxFrame, default 8 MiB). Bigger documents need a chunked transfer;
-// the protocol leaves room (MigState frames are self-delimiting) but the
-// current implementation keeps the single-frame simplification.
+// frame (MaxFrame, default 8 MiB). Its size is O(operations past the GC
+// frontier), not O(states × operations) — see exportState. Bigger blobs need
+// a chunked transfer; the protocol leaves room (MigState frames are
+// self-delimiting) but the implementation keeps the single-frame
+// simplification.
 
 // adminLoop services a placement-plane connection: a Migrate command from
 // jupiterplace (this shard is the migration source) or a MigState transfer

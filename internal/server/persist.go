@@ -17,14 +17,16 @@ import (
 // Engine persistence — jupiterd restart without losing client sessions.
 //
 // A standalone engine configured with PersistDir writes, on graceful
-// shutdown, one JSON file per hosted document: the full css.Server state
-// (persist.go in internal/css) plus the session layer the resume protocol
-// depends on — each client's retained outbox, frame-sequence counters, and
-// operation-dedup watermark. On the first Hello for a document after
-// restart, the engine reloads the file, so a reconnecting client resumes
-// exactly as if the server had never gone away: its unacknowledged ops are
-// blind-resent and deduplicated by the restored watermark, and the missed
-// outbox suffix is replayed from the restored retention.
+// shutdown, one JSON file per hosted document: the css.Server's log (the
+// frontier prefix of the serialization order, the operations past it and the
+// per-client counters — persist.go in internal/css, which rebuilds the
+// state-space from them as a late joiner would) plus the session layer the
+// resume protocol depends on — each client's retained outbox, frame-sequence
+// counters, and operation-dedup watermark. On the first Hello for a document
+// after restart, the engine reloads the file, so a reconnecting client
+// resumes exactly as if the server had never gone away: its unacknowledged
+// ops are blind-resent and deduplicated by the restored watermark, and the
+// missed outbox suffix is replayed from the restored retention.
 //
 // Replicated engines ignore PersistDir: there, followers ARE the durability
 // mechanism, and a killed node's sessions fail over instead of restarting.
@@ -38,11 +40,10 @@ type persistedSlot struct {
 }
 
 type persistedDoc struct {
-	Doc     string          `json:"doc"`
-	Server  json.RawMessage `json:"server"`
-	Slots   []persistedSlot `json:"slots"`
-	NextID  int32           `json:"nextId"`
-	Applied uint64          `json:"applied"`
+	Doc    string          `json:"doc"`
+	Server json.RawMessage `json:"server"`
+	Slots  []persistedSlot `json:"slots"`
+	NextID int32           `json:"nextId"`
 }
 
 func (e *Engine) persistEnabled() bool {
@@ -71,18 +72,19 @@ func (e *Engine) removePersistedState(doc string) {
 	}
 }
 
-// exportState serializes the document's full state — the css server plus
-// the session layer (outboxes, frame-seq counters, dedup watermarks) — as
-// one persistedDoc blob. It is both the persistence format and the
-// migration transfer format: a target shard that importStates the blob
-// resumes client sessions exactly as a restarted server would. Must run on
-// the apply loop (h.call) or after it has stopped.
+// exportState serializes the document — the css server's log plus the
+// session layer (outboxes, frame-seq counters, dedup watermarks) — as one
+// persistedDoc blob. Its size follows the operations past the GC frontier and
+// the unacknowledged outboxes, not the document's history. It is both the
+// persistence format and the migration transfer format: a target shard that
+// importStates the blob resumes client sessions exactly as a restarted server
+// would. Must run on the apply loop (h.call) or after it has stopped.
 func (h *docHost) exportState() ([]byte, error) {
 	srvState, err := h.srv.Save()
 	if err != nil {
 		return nil, fmt.Errorf("server: export doc %q: %w", h.name, err)
 	}
-	pd := persistedDoc{Doc: h.name, Server: srvState, NextID: h.nextID, Applied: h.applied}
+	pd := persistedDoc{Doc: h.name, Server: srvState, NextID: h.nextID}
 	for _, id := range h.srv.Clients() {
 		slot, ok := h.clients[id]
 		if !ok {
@@ -124,7 +126,6 @@ func (h *docHost) importState(data []byte) error {
 	h.srv = srv
 	h.srv.UseCompactContexts()
 	h.nextID = pd.NextID
-	h.applied = pd.Applied
 	for _, ps := range pd.Slots {
 		id := opid.ClientID(ps.ID)
 		outbox := make([]outEntry, len(ps.Outbox))

@@ -514,15 +514,24 @@ func (c *conn) enqueueOut(of outFrame) bool {
 	}
 }
 
+// flushBudget is the write deadline of a frame shipped during teardown: long
+// enough for a reject notice to reach a live peer, short enough that a stuck
+// one cannot delay engine shutdown.
+const flushBudget = 500 * time.Millisecond
+
 // close initiates teardown once; safe from any goroutine, never blocks. The
 // reader is unblocked via an immediate read deadline; the write loop owns
 // the socket close, flushing already-queued frames (error notices) first.
 func (c *conn) close() {
 	c.closeOnce.Do(func() {
 		close(c.closedCh)
-		// Unblock both an in-flight read and an in-flight write; later
-		// flush writes set their own fresh deadlines.
-		_ = c.nc.SetDeadline(time.Now())
+		// Only the read side gets a deadline in the past. This can run after
+		// the write loop armed the deadline of a queued notice, so an
+		// in-flight write is cut down to the flush budget, never to nothing —
+		// or a refused peer sees EOF with no reason.
+		now := time.Now()
+		_ = c.nc.SetReadDeadline(now)
+		_ = c.nc.SetWriteDeadline(now.Add(flushBudget))
 	})
 }
 
@@ -566,13 +575,12 @@ func (c *conn) writeLoop() {
 				return
 			}
 		case <-c.closedCh:
-			// Best-effort flush of frames queued before the close (reject
-			// notices and the like), on a short budget so a stuck peer
-			// cannot delay engine shutdown.
+			// Flush the frames queued before the close (reject notices and
+			// the like), each on the flush budget.
 			for {
 				select {
 				case f := <-c.sendCh:
-					if !c.writeFrame(f, 500*time.Millisecond) {
+					if !c.writeFrame(f, flushBudget) {
 						return
 					}
 				default:

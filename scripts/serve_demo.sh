@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
 # serve_demo.sh — end-to-end smoke of the jupiterd network runtime.
 #
-# Starts jupiterd on ephemeral ports, runs two jupiterctl clients typing
-# concurrently into the same document (one drops its connection mid-stream
-# to exercise resume), waits for both to reach the same global sequence
-# barrier, and asserts they print the identical document. Also checks the
-# metrics endpoint reports every op applied. Exits non-zero on divergence
-# or any failure.
+# Starts jupiterd on ephemeral ports with the frontier GC on (-gc-every 4),
+# runs two jupiterctl clients typing concurrently into the same document (one
+# drops its connection mid-stream to exercise resume), waits for both to reach
+# the same global sequence barrier, and asserts they print the identical
+# document; then a third client joins the collected document late and must
+# print it too. Also checks the metrics endpoint reports every op applied.
+# Exits non-zero on divergence or any failure.
 #
 # Usage: scripts/serve_demo.sh   (or: make serve-demo)
 set -eu
@@ -26,7 +27,7 @@ echo "serve-demo: building jupiterd and jupiterctl"
 go build -o "$TMP/jupiterd" ./cmd/jupiterd
 go build -o "$TMP/jupiterctl" ./cmd/jupiterctl
 
-"$TMP/jupiterd" -addr 127.0.0.1:0 -metrics 127.0.0.1:0 -v 2>"$TMP/jupiterd.log" &
+"$TMP/jupiterd" -addr 127.0.0.1:0 -metrics 127.0.0.1:0 -gc-every 4 -v 2>"$TMP/jupiterd.log" &
 DAEMON_PID=$!
 
 # The daemon logs its bound addresses; wait for them to appear.
@@ -59,6 +60,14 @@ echo "serve-demo: client B sees: $B"
 [ "$A" = "$B" ] || { echo "serve-demo: FAIL: clients diverged"; exit 1; }
 [ "${#A}" -eq 11 ] || { echo "serve-demo: FAIL: expected 11 characters, got ${#A}"; exit 1; }
 
+# A late joiner is rooted at the GC frontier and replays what lies past it:
+# it must land on the same 11 characters.
+"$TMP/jupiterctl" -addr "$ADDR" -doc demo -wait-seq 11 >"$TMP/c.out" 2>"$TMP/c.log" || {
+	echo "serve-demo: client C (late join under GC) failed:"; cat "$TMP/c.log"; exit 1; }
+C="$(cat "$TMP/c.out")"
+echo "serve-demo: client C sees: $C"
+[ "$A" = "$C" ] || { echo "serve-demo: FAIL: late joiner diverged"; exit 1; }
+
 # The resume path must actually have fired (client B reconnected).
 grep -q "resumed at frame" "$TMP/jupiterd.log" || {
 	echo "serve-demo: FAIL: no resume observed in jupiterd log"; cat "$TMP/jupiterd.log"; exit 1; }
@@ -73,4 +82,4 @@ fi
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
-echo "serve-demo: OK — converged on \"$A\" with resume and clean shutdown"
+echo "serve-demo: OK — converged on \"$A\" with resume, a late join under GC and clean shutdown"
