@@ -120,4 +120,4 @@ load-chaos:
 sweep-e15:
 	scripts/sweep_load.sh
 
-ci: fmt-check vet build test bench-check race fuzz-wire chaos-socket replication-chaos migration-chaos serve-demo serve-replicated shard-smoke load-smoke
+ci: fmt-check vet build test bench-check bench-smoke race fuzz-wire chaos-socket replication-chaos migration-chaos serve-demo serve-replicated shard-smoke load-smoke

@@ -31,6 +31,8 @@ import (
 // A replica sends compact contexts after UseCompactContexts and explicit
 // ones otherwise (sim.Config.CompactContexts selects per cluster; the network
 // runtime always sends compact). Either form is accepted on receipt.
+// Client and server alike expand into one scratch set each (replica.expand),
+// except where the server hands the set on in explicit broadcasts.
 // TestCompactContextsEquivalent checks identical behaviour under identical
 // schedules, and experiment E8 measures the wire-size difference.
 

@@ -88,6 +88,7 @@ type replica struct {
 	// serialization order as far as it has learned it (compactctx.go).
 	compact bool
 	order   orderLog
+	ctxBuf  opid.Set // the last expanded context, refilled by the next (never retained)
 
 	// onExec, when set, observes every executed operation in its final
 	// (possibly transformed) form — the hook the editor layer uses to move
@@ -108,6 +109,15 @@ func newReplica(name string, initial list.Doc, rec core.Recorder, opts []statesp
 		doc:   doc,
 		rec:   rec,
 	}
+}
+
+// expand is order.expand into the replica's scratch set: the context is only
+// looked up, so it stays valid until the next call and must not be retained.
+func (r *replica) expand(c CompactCtx) (ctx opid.Set, err error) {
+	if ctx, err = r.order.expand(c, r.ctxBuf); ctx != nil {
+		r.ctxBuf = ctx
+	}
+	return ctx, err
 }
 
 // processed returns the replica's processed-operations set (the final
@@ -174,8 +184,7 @@ type Client struct {
 	id         opid.ClientID
 	nextSeq    uint64
 	readSeq    uint64
-	broadcasts int      // server broadcasts received so far (compact contexts)
-	ctxBuf     opid.Set // the last expanded context, refilled by the next (never retained)
+	broadcasts int // server broadcasts received so far (compact contexts)
 }
 
 // NewClient creates a client with the given identifier and initial document
@@ -260,9 +269,7 @@ func (c *Client) Receive(m ServerMsg) error {
 				return fmt.Errorf("%s: broadcast with neither explicit nor compact context", c.name)
 			}
 			var err error
-			ctx, err = c.order.expand(*m.Compact, c.ctxBuf)
-			c.ctxBuf = ctx
-			if err != nil {
+			if ctx, err = c.expand(*m.Compact); err != nil {
 				return fmt.Errorf("%s: %w", c.name, err)
 			}
 		}
@@ -391,6 +398,8 @@ func (s *Server) Receive(m ClientMsg) ([]Addressed, error) {
 // registered, the operation and a compact context must be its own, and an
 // explicit context must be exactly what its two counters expand to — the only
 // shape a FIFO client's context has, and the one a join or restart replays.
+// An expanded set is the replica's scratch (see expand) unless explicit
+// broadcasts will carry it.
 func (s *Server) contextOf(m ClientMsg) (CompactCtx, opid.Set, error) {
 	cc := CompactCtx{Origin: m.From, OwnSeq: m.Op.ID.Seq}
 	if _, ok := s.known[m.From]; !ok || m.Op.ID.Client != m.From {
@@ -403,7 +412,7 @@ func (s *Server) contextOf(m ClientMsg) (CompactCtx, opid.Set, error) {
 				cc.Remote++
 			}
 		}
-		if want, err := s.order.expand(cc, nil); err != nil || !want.Equal(m.Ctx) {
+		if want, err := s.expand(cc); err != nil || !want.Equal(m.Ctx) {
 			return cc, nil, fmt.Errorf("context %s of %s is not one %s can have", m.Ctx, m.Op.ID, m.From)
 		}
 		return cc, m.Ctx, nil
@@ -411,6 +420,10 @@ func (s *Server) contextOf(m ClientMsg) (CompactCtx, opid.Set, error) {
 		return cc, nil, fmt.Errorf("message from %s with neither explicit nor compact context", m.From)
 	case m.Compact.Origin != cc.Origin || m.Compact.OwnSeq != cc.OwnSeq:
 		return cc, nil, fmt.Errorf("compact context %+v does not belong to operation %s", *m.Compact, m.Op.ID)
+	}
+	if s.compact {
+		ctx, err := s.expand(*m.Compact)
+		return *m.Compact, ctx, err
 	}
 	ctx, err := s.order.expand(*m.Compact, nil)
 	return *m.Compact, ctx, err

@@ -36,6 +36,17 @@ type logRig struct {
 	delivered []opid.OpID
 	named     map[opid.ClientID]opid.Set
 	sentCtx   map[opid.OpID]opid.Set // context of each generated operation
+
+	// afterStep, when set, runs after every delivery, frontier advance and
+	// join.
+	afterStep func(*logRig) error
+}
+
+func (r *logRig) stepped() error {
+	if r.afterStep == nil {
+		return nil
+	}
+	return r.afterStep(r)
 }
 
 func newLogRig(n int, compact bool) *logRig {
@@ -104,19 +115,25 @@ func (r *logRig) serverRecv(id opid.ClientID) error {
 		r.named[id].Put(op)
 	}
 	r.named[id].Put(msg.Op.ID)
-	return nil
+	return r.stepped()
 }
 
 func (r *logRig) clientRecv(id opid.ClientID) error {
 	msg := r.toClient[id][0]
 	r.toClient[id] = r.toClient[id][1:]
-	return r.clients[id].Receive(msg)
+	if err := r.clients[id].Receive(msg); err != nil {
+		return err
+	}
+	return r.stepped()
 }
 
 func (r *logRig) advance() error {
 	outs, err := r.srv.AdvanceFrontier()
 	r.fan(outs)
-	return err
+	if err != nil {
+		return err
+	}
+	return r.stepped()
 }
 
 // join adds a late joiner from the server's snapshot; it edits like the rest
@@ -136,7 +153,7 @@ func (r *logRig) join() error {
 	r.ids = append(r.ids, id)
 	r.clients[id] = c
 	r.named[id] = opid.NewSet(r.delivered...)
-	return nil
+	return r.stepped()
 }
 
 // quiesce delivers everything in flight.
@@ -281,11 +298,8 @@ func (r *logRig) settle() error {
 	return nil
 }
 
-// TestLogViewsExhaustive replays every schedule sim.Explore enumerates for a
-// 2-client, 2-operation scenario, in both context formats and with the
-// frontier advanced after every gcEvery-th server step, checking the server
-// after each one.
-func TestLogViewsExhaustive(t *testing.T) {
+// exploreCfg is the 2-client, 2-operation scenario sim.Explore enumerates.
+func exploreCfg() sim.ExploreConfig {
 	cfg := sim.ExploreConfig{
 		Clients: 2,
 		Scripts: map[opid.ClientID][]sim.ScriptOp{
@@ -297,39 +311,54 @@ func TestLogViewsExhaustive(t *testing.T) {
 	if testing.Short() {
 		cfg.Limit = 200
 	}
-	replay := func(sched core.Schedule, compact bool, gcEvery int) error {
-		r := newLogRig(cfg.Clients, compact)
-		next := map[opid.ClientID]int{}
-		steps := 0
-		for _, st := range sched {
-			var err error
-			switch st.Kind {
-			case core.StepGenerate:
-				op := cfg.Scripts[st.Client][next[st.Client]]
-				next[st.Client]++
-				err = r.generate(st.Client, !op.Ins, op.Val, op.Frac)
-			case core.StepClient:
-				err = r.clientRecv(st.Client)
-			case core.StepServer:
-				if err = r.serverRecv(st.Client); err == nil {
-					if steps++; steps%gcEvery == 0 {
-						err = r.advance()
-					}
-				}
-				if err == nil {
-					err = r.check()
+	return cfg
+}
+
+// replayExplored drives r through one explored schedule, advancing the
+// frontier after every gcEvery-th server step and, if check, checking the
+// server after each one and settling the run; otherwise it ends quiesced.
+func replayExplored(r *logRig, cfg sim.ExploreConfig, sched core.Schedule, gcEvery int, check bool) error {
+	next := map[opid.ClientID]int{}
+	steps := 0
+	for _, st := range sched {
+		var err error
+		switch st.Kind {
+		case core.StepGenerate:
+			op := cfg.Scripts[st.Client][next[st.Client]]
+			next[st.Client]++
+			err = r.generate(st.Client, !op.Ins, op.Val, op.Frac)
+		case core.StepClient:
+			err = r.clientRecv(st.Client)
+		case core.StepServer:
+			if err = r.serverRecv(st.Client); err == nil {
+				if steps++; steps%gcEvery == 0 {
+					err = r.advance()
 				}
 			}
-			if err != nil {
-				return fmt.Errorf("compact=%v gcEvery=%d step %v: %w", compact, gcEvery, st, err)
+			if err == nil && check {
+				err = r.check()
 			}
 		}
-		return r.settle()
+		if err != nil {
+			return fmt.Errorf("compact=%v gcEvery=%d step %v: %w", r.compact, gcEvery, st, err)
+		}
 	}
+	if !check {
+		return r.quiesce()
+	}
+	return r.settle()
+}
+
+// TestLogViewsExhaustive replays every schedule sim.Explore enumerates for a
+// 2-client, 2-operation scenario, in both context formats and with the
+// frontier advanced after every gcEvery-th server step, checking the server
+// after each one.
+func TestLogViewsExhaustive(t *testing.T) {
+	cfg := exploreCfg()
 	res, err := sim.Explore(sim.CSS, cfg, func(_ sim.Cluster, sched core.Schedule) error {
 		for _, compact := range []bool{false, true} {
 			for _, gcEvery := range []int{1, 3} {
-				if err := replay(sched, compact, gcEvery); err != nil {
+				if err := replayExplored(newLogRig(cfg.Clients, compact), cfg, sched, gcEvery, true); err != nil {
 					return err
 				}
 			}
@@ -344,10 +373,12 @@ func TestLogViewsExhaustive(t *testing.T) {
 
 // randomRun drives one seeded random FIFO schedule: writers edit, messages
 // are delivered in random interleaving, the frontier advances at random
-// points, and a late joiner may enter mid-run and edit too.
-func randomRun(seed int64, writers, ops int, check bool) (*logRig, error) {
+// points, and a late joiner may enter mid-run and edit too. afterStep, if
+// not nil, becomes the rig's.
+func randomRun(seed int64, writers, ops int, check bool, afterStep func(*logRig) error) (*logRig, error) {
 	rng := rand.New(rand.NewSource(seed))
 	r := newLogRig(writers, seed%2 == 0)
+	r.afterStep = afterStep
 	left := ops
 	for {
 		var moves []func() error
@@ -394,7 +425,7 @@ func TestLogViewsRandom(t *testing.T) {
 		seeds = 40
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		r, err := randomRun(seed, 3, 14, true)
+		r, err := randomRun(seed, 3, 14, true, nil)
 		if err == nil {
 			err = r.settle()
 		}
@@ -545,9 +576,10 @@ func TestSaveSizeFollowsTheTail(t *testing.T) {
 
 // TestJoinReplayReusesItsContextSet: a joiner expands every replayed compact
 // context into one set it refills, not a fresh O(history) set per operation.
-// The fresh sets were 14 MB of garbage for this 800-op tail (1 MB is the
-// joiner's state-space), enough to cycle the collector inside every join and
-// make the time of a late join swing from run to run.
+// The fresh sets were 14 MB of garbage for this 800-op tail, enough to cycle
+// the collector inside every join and make the time of a late join swing from
+// run to run. What is left (420 KB) is the joiner's state-space, which no
+// longer carries a hash index per edge.
 func TestJoinReplayReusesItsContextSet(t *testing.T) {
 	r := newLogRig(2, true)
 	for i := 0; i < 800; i++ {
@@ -569,7 +601,56 @@ func TestJoinReplayReusesItsContextSet(t *testing.T) {
 	if got, want := list.Render(c.Document()), list.Render(r.srv.Document()); got != want {
 		t.Fatalf("joiner holds %q, server %q", got, want)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
-		t.Errorf("replaying %d operations allocated %d bytes, want under 4 MiB", len(snap.Replay), n)
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("replaying %d operations allocated %d bytes", len(snap.Replay), n)
+	if n > 512<<10 {
+		t.Errorf("replaying %d operations allocated %d bytes, want under 512 KiB", len(snap.Replay), n)
+	}
+}
+
+// TestServerReceiveReusesItsContextSet: the server, too, expands each compact
+// context into one set it refills. A fresh set per message made every
+// Receive allocate O(history): 110 KB per op here, by op 2 000 of a
+// single-writer document, where what the operation adds to the state-space is
+// one state and one edge (about 2.3 KB per op all told).
+func TestServerReceiveReusesItsContextSet(t *testing.T) {
+	c := css.NewClient(1, nil, nil)
+	c.UseCompactContexts()
+	srv := css.NewServer([]opid.ClientID{1}, nil, nil)
+	srv.UseCompactContexts()
+	gen := func() css.ClientMsg {
+		msg, err := c.GenerateIns(rune('a'+c.DocLen()%26), c.DocLen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	for i := 0; i < 1900; i++ {
+		outs, err := srv.Receive(gen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range outs {
+			if err := c.Receive(o.Msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	msgs := make([]css.ClientMsg, 100)
+	for i := range msgs {
+		msgs[i] = gen()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, m := range msgs {
+		if _, err := srv.Receive(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(msgs))
+	t.Logf("%d bytes per op", per)
+	if per > 4<<10 {
+		t.Errorf("serialising ops 1901-2000 allocated %d bytes per op, want under 4 KiB", per)
 	}
 }

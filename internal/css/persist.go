@@ -112,7 +112,7 @@ func RestoreServer(data []byte, rec core.Recorder) (*Server, error) {
 		if e.op, err = core.OpFromJSON(t.Op); err != nil {
 			return nil, fmt.Errorf("css: restore server: tail[%d].op: %w", i, err)
 		}
-		ctx, err := s.order.expand(e.ctx(), nil)
+		ctx, err := s.expand(e.ctx())
 		if err == nil {
 			err = s.serialize(e.op, e.remote, ctx)
 		}

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"jupiter/internal/broken"
 	"jupiter/internal/core"
@@ -405,14 +406,20 @@ func (c *cscwCluster) Document(replica string) ([]list.Elem, error) {
 }
 
 func (c *cscwCluster) Stats() []SpaceStat {
-	const dssNodeBytes = 56 // rough per-state cost model matching Space.ByteSize
+	// A 2D state-space is priced as Space.ByteSize prices the n-ary one's
+	// states and edges: the structs, plus an edge-slice and a parent-slice
+	// slot per edge.
+	dssBytes := func(d cscw.DSS) int {
+		return d.States*int(unsafe.Sizeof(statespace.State{})) +
+			d.Edges*int(unsafe.Sizeof(statespace.Edge{})+2*unsafe.Sizeof(uintptr(0)))
+	}
 	out := make([]SpaceStat, 0, 2*len(c.ids))
 	for _, d := range c.server.DSSs() {
-		out = append(out, SpaceStat{Replica: opid.ServerName, Name: d.Name, States: d.States, Edges: d.Edges, Bytes: d.States * dssNodeBytes})
+		out = append(out, SpaceStat{Replica: opid.ServerName, Name: d.Name, States: d.States, Edges: d.Edges, Bytes: dssBytes(d)})
 	}
 	for _, id := range c.ids {
 		d := c.clients[id].DSS()
-		out = append(out, SpaceStat{Replica: id.String(), Name: d.Name, States: d.States, Edges: d.Edges, Bytes: d.States * dssNodeBytes})
+		out = append(out, SpaceStat{Replica: id.String(), Name: d.Name, States: d.States, Edges: d.Edges, Bytes: dssBytes(d)})
 	}
 	return out
 }

@@ -93,17 +93,18 @@ func (s *Space) CompactTo(frontier opid.Set) error {
 		}
 	}
 
-	// Drop edges that cross out of the kept set and rebuild the indexes.
-	edgesByOrig := make(map[opid.OpID][]*Edge)
-	ext := make(map[extKey]*State)
+	// Drop edges that cross out of the kept set. Order keys are retained
+	// only for operations still labeling edges or still pending (a pending
+	// operation's promote must continue to work even if compaction raced
+	// ahead of the acknowledgement).
+	orderOf := make(map[opid.OpID]*OrderKey)
 	numEdges := 0
 	for st := range kept {
 		edges := st.edges[:0]
 		for _, e := range st.edges {
 			if _, ok := kept[e.To]; ok {
 				edges = append(edges, e)
-				edgesByOrig[e.Op.ID] = append(edgesByOrig[e.Op.ID], e)
-				ext[extKey{st.id, e.Op.ID}] = e.To
+				orderOf[e.Op.ID] = e.key
 				numEdges++
 			}
 		}
@@ -134,27 +135,19 @@ func (s *Space) CompactTo(frontier opid.Set) error {
 				st.added = opid.OpID{}
 			}
 		}
-		if st.docParent != nil {
-			if _, ok := kept[st.docParent]; !ok {
+		if x := st.x; x != nil && x.docParent != nil {
+			if _, ok := kept[x.docParent]; !ok {
 				if s.recordDocs {
 					st.Doc()
 				}
-				st.docParent = nil
-				st.docOp = ot.Op{}
+				x.docParent = nil
+				x.docOp = ot.Op{}
 			}
 		}
 	}
-
-	// Retain order keys only for operations still labeling edges or still
-	// pending (a pending operation's promote must continue to work even if
-	// compaction raced ahead of the acknowledgement).
-	orderOf := make(map[opid.OpID]OrderKey, len(edgesByOrig))
-	for id := range edgesByOrig {
-		orderOf[id] = s.orderOf[id]
-	}
-	for id, key := range s.orderOf {
-		if key == PendingKey {
-			orderOf[id] = key
+	for id, cell := range s.orderOf {
+		if *cell == PendingKey {
+			orderOf[id] = cell
 		}
 	}
 
@@ -169,15 +162,13 @@ func (s *Space) CompactTo(frontier opid.Set) error {
 			s.byID[i] = nil
 			continue
 		}
-		h := st.hash ^ tagHash(st.tag)
+		h := st.hash ^ tagHash(st.tag())
 		st.collide = byHash[h]
 		byHash[h] = st
 	}
 	s.byHash = byHash
 	s.numStates = len(kept)
 	s.initial = root
-	s.edgesByOrig = edgesByOrig
-	s.ext = ext
 	s.orderOf = orderOf
 	s.numEdges = numEdges
 	if _, ok := kept[s.final]; !ok {

@@ -67,7 +67,7 @@ func TestInternTableProperties(t *testing.T) {
 			if st.Contains(id(99, 99)) {
 				t.Fatalf("state %s contains foreign op", st)
 			}
-			// The child-extension index agrees with edge structure.
+			// Child agrees with the edge structure.
 			for i := 0; i < st.EdgeCount(); i++ {
 				e := st.EdgeAt(i)
 				child, ok := s.Child(st, e.Op.ID)

@@ -136,14 +136,14 @@ func (s *Space) MarshalJSON() ([]byte, error) {
 			sj.Ops = append(sj.Ops, compOf(id))
 		}
 		for _, e := range st.edges {
-			sj.Edges = append(sj.Edges, edgeJSON{Op: opToJSON(e.Op), To: e.To.Key(), Key: uint64(e.key)})
+			sj.Edges = append(sj.Edges, edgeJSON{Op: opToJSON(e.Op), To: e.To.Key(), Key: uint64(*e.key)})
 			edged[e.Op.ID] = true
 		}
 		out.States[st.Key()] = sj
 	}
-	for id, key := range s.orderOf {
+	for id, cell := range s.orderOf {
 		if !edged[id] {
-			out.Orders[id.String()] = uint64(key)
+			out.Orders[id.String()] = uint64(*cell)
 		}
 	}
 	return json.Marshal(out)
@@ -166,10 +166,8 @@ func (s *Space) UnmarshalJSON(data []byte) error {
 
 	s.byHash = make(map[uint64]*State, len(keys))
 	s.byID = make([]*State, 0, len(keys))
-	s.ext = make(map[extKey]*State)
 	s.numStates = 0
-	s.edgesByOrig = make(map[opid.OpID][]*Edge)
-	s.orderOf = make(map[opid.OpID]OrderKey)
+	s.orderOf = make(map[opid.OpID]*OrderKey)
 	s.numEdges = 0
 	s.recordDocs = false
 	s.verifyCP1 = false
@@ -184,7 +182,7 @@ func (s *Space) UnmarshalJSON(data []byte) error {
 		if ops.Key() != key {
 			return fmt.Errorf("statespace: state key %q does not match its ops %s", key, ops)
 		}
-		st := &State{base: ops, hash: ops.Hash(), depth: len(ops), key: key}
+		st := &State{base: ops, hash: ops.Hash(), depth: len(ops), x: &stateExtra{key: key}}
 		s.intern(st)
 		states[key] = st
 	}
@@ -210,14 +208,15 @@ func (s *Space) UnmarshalJSON(data []byte) error {
 			if err != nil {
 				return err
 			}
+			cell, err := s.keyCell(op.ID, OrderKey(ej.Key))
+			if err != nil {
+				return err
+			}
 			// Edges were serialized in sibling order; appending preserves it
 			// (and linkEdge's sort.Search re-derives the same positions).
-			e := &Edge{Op: op, From: from, To: to, key: OrderKey(ej.Key)}
+			e := &Edge{Op: op, From: from, To: to, key: cell}
 			from.edges = append(from.edges, e)
 			to.parents = append(to.parents, e)
-			s.ext[extKey{from.id, op.ID}] = to
-			s.edgesByOrig[op.ID] = append(s.edgesByOrig[op.ID], e)
-			s.orderOf[op.ID] = OrderKey(ej.Key)
 			s.numEdges++
 		}
 	}
@@ -227,7 +226,9 @@ func (s *Space) UnmarshalJSON(data []byte) error {
 		if _, err := fmt.Sscanf(idStr, "c%d:%d", &c, &seq); err != nil {
 			return fmt.Errorf("statespace: bad order id %q: %w", idStr, err)
 		}
-		s.orderOf[opid.OpID{Client: opid.ClientID(c), Seq: seq}] = OrderKey(key)
+		if _, err := s.keyCell(opid.OpID{Client: opid.ClientID(c), Seq: seq}, OrderKey(key)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"jupiter/internal/list"
 	"jupiter/internal/opid"
@@ -286,28 +287,30 @@ func (s *Space) States() []*State {
 	return s.sortedStates()
 }
 
-// ByteSize estimates the retained size of the space in bytes: a rough model
-// counting states (a fixed struct plus the materialized base set when one is
-// cached — chain states carry their single added identifier inline), edges,
-// and document snapshots. Used by the E3 metadata-overhead experiment;
-// absolute numbers are estimates, relative comparisons between protocols are
-// meaningful.
+// ByteSize is the heap the space holds, in bytes: every state with its edge
+// and parent slices, materialized base set and side struct; every edge and
+// order-key cell; and the dense, intern and order-key indexes. Struct sizes
+// come from unsafe.Sizeof, and a hash-table entry counts 1.5× its key,
+// value and control byte (the mean load of Go's tables between growths).
+// The simulator's space statistics report it; TestByteSizeTracksHeap holds
+// it to the heap a CSS run measures.
 func (s *Space) ByteSize() int {
-	const (
-		stateOverhead = 96
-		opIDSize      = 12
-		edgeSize      = 64
-	)
-	total := 0
+	const ptr = int(unsafe.Sizeof(uintptr(0)))
+	mapEntry := func(kv int) int { return (kv + 1) * 3 / 2 }
+	opID := int(unsafe.Sizeof(opid.OpID{}))
+	total := cap(s.byID)*ptr + len(s.byHash)*mapEntry(8+ptr) + len(s.orderOf)*(mapEntry(opID+ptr)+8)
 	for _, st := range s.byID {
 		if st == nil {
 			continue
 		}
-		total += stateOverhead + len(st.base)*opIDSize + len(st.key)
-		if st.doc != nil {
-			total += st.doc.Len() * (opIDSize + 4)
+		total += int(unsafe.Sizeof(*st)) + (cap(st.edges)+cap(st.parents))*ptr +
+			len(st.edges)*int(unsafe.Sizeof(Edge{})) + len(st.base)*mapEntry(opID)
+		if x := st.x; x != nil {
+			total += int(unsafe.Sizeof(*x)) + len(x.key)
+			if x.doc != nil {
+				total += x.doc.Len() * int(unsafe.Sizeof(list.Elem{}))
+			}
 		}
-		total += len(st.edges) * edgeSize
 	}
 	return total
 }
@@ -333,7 +336,9 @@ func NewBuilder(initialDoc list.Doc) *Builder {
 // op and order key. The destination state (from ∪ {op.ID}) is created if
 // needed; if it exists the edge converges on it (allowed in hand-built
 // spaces). The destination document is derived from the source unless the
-// destination already exists.
+// destination already exists. All edges of one operation share its order
+// key, so an edge whose key differs from an earlier edge's of the same
+// operation is an error.
 func (b *Builder) Edge(from opid.Set, op ot.Op, key OrderKey) *Builder {
 	return b.EdgeTagged(from, "", op, key, "")
 }
@@ -356,24 +361,25 @@ func (b *Builder) EdgeTagged(from opid.Set, fromTag string, op ot.Op, key OrderK
 		b.err = fmt.Errorf("builder: unknown source state %s tag %q", from, fromTag)
 		return b
 	}
+	cell, err := s.keyCell(op.ID, key)
+	if err != nil {
+		b.err = fmt.Errorf("builder: %w", err)
+		return b
+	}
 	destOps := from.Add(op.ID)
 	dst, exists := s.lookup(destOps, toTag)
 	if !exists {
-		dst = &State{base: destOps, hash: destOps.Hash(), depth: len(destOps), tag: toTag}
 		d := src.Doc().Clone()
 		if err := ot.Apply(d, op); err != nil {
 			b.err = fmt.Errorf("builder: apply %s at %s: %w", op, src, err)
 			return b
 		}
-		dst.doc = d
+		dst = &State{base: destOps, hash: destOps.Hash(), depth: len(destOps), x: &stateExtra{tag: toTag, doc: d}}
 		s.intern(dst)
 	}
-	if err := s.linkEdge(src, dst, op, key); err != nil {
+	if err := s.linkEdge(src, dst, op, cell); err != nil {
 		b.err = err
 		return b
-	}
-	if _, known := s.orderOf[op.ID]; !known {
-		s.orderOf[op.ID] = key
 	}
 	if dst.depth > s.final.depth {
 		s.final = dst

@@ -19,18 +19,20 @@
 // uint32 StateID and an order-independent 64-bit set hash; a child's
 // identity derives incrementally from its parent's (hash ^ added-op hash,
 // O(1)), the intern index resolves an explicit set in O(|set|) with no
-// allocation, and a child-extension index maps (parent StateID, added OpID)
-// to the child. The operation set itself is materialized lazily by walking
-// the creation-parent chain (State.Ops), so creating a state is O(1).
+// allocation, and a child is found by scanning its parent's at most n
+// transitions (Lemma 6.1). The operation set itself is materialized lazily by
+// walking the creation-parent chain (State.Ops), so creating a state is O(1).
 // Explicit sets remain the wire and specification format; they are resolved
-// to interned states only at the message boundary.
+// to interned states only at the message boundary. What only tests and tools
+// read sits behind one pointer that protocol-built states leave nil.
 //
 // Order keys. Every transition carries an order key: the server-assigned
 // global sequence number of its underlying original operation, or
 // PendingKey for a client's own not-yet-acknowledged operations. A pending
 // operation is, by the FIFO argument of Section 6.2, totally ordered after
 // every operation the client currently knows, so PendingKey sorts last;
-// Promote installs the real key when the server's acknowledgement arrives.
+// Promote installs the real key, in the one cell all the operation's
+// transitions share, when the server's acknowledgement arrives.
 package statespace
 
 import (
@@ -75,7 +77,7 @@ var (
 	ErrForeignState = errors.New("statespace: state belongs to a different space")
 )
 
-// State is a node of the state-space.
+// State is a node of the state-space: the fields Algorithm 1 reads, and x.
 type State struct {
 	id    StateID
 	hash  uint64 // order-independent hash of the operation set
@@ -88,12 +90,21 @@ type State struct {
 	added  opid.OpID
 	base   opid.Set
 
+	collide *State // next state on the same intern hash chain
+
+	edges   []*Edge // outgoing transitions, in sibling (total) order
+	parents []*Edge // incoming transitions, unordered
+
+	x *stateExtra // nil until a builder tag, Key or WithDocs needs it
+}
+
+// stateExtra is the part of a state the protocol never reads.
+type stateExtra struct {
 	// tag disambiguates hand-built states sharing an operation set
-	// (Builder.EdgeTagged); always empty for protocol-built states.
+	// (Builder.EdgeTagged).
 	tag string
 
-	key     string // canonical Ops().Key() (+ "#tag"), memoized by Key()
-	collide *State // next state on the same intern hash chain
+	key string // canonical Ops().Key() (+ "#tag"), memoized by Key()
 
 	// Document representation (WithDocs): doc is the materialized value;
 	// when nil with docParent set, the value derives lazily as docParent's
@@ -101,9 +112,14 @@ type State struct {
 	doc       list.Doc
 	docParent *State
 	docOp     ot.Op
+}
 
-	edges   []*Edge // outgoing transitions, in sibling (total) order
-	parents []*Edge // incoming transitions, unordered
+// tag returns the state's builder tag ("" for protocol-built states).
+func (st *State) tag() string {
+	if st.x == nil {
+		return ""
+	}
+	return st.x.tag
 }
 
 // ID returns the state's dense interned identity within its space.
@@ -144,7 +160,7 @@ func (st *State) Ops() opid.Set {
 // Every chain-added operation is distinct from the rest of its parent's set,
 // so size equality plus membership of each chain/base element is equality.
 func (st *State) equalsSet(ops opid.Set, tag string) bool {
-	if st.tag != tag || st.depth != len(ops) {
+	if st.tag() != tag || st.depth != len(ops) {
 		return false
 	}
 	cur := st
@@ -194,14 +210,16 @@ func (st *State) ParentAt(i int) *Edge { return st.parents[i] }
 // operation-set encoding, plus the builder tag if any). It is computed on
 // first use and memoized; protocol hot paths never call it.
 func (st *State) Key() string {
-	if st.key == "" && (st.depth > 0 || st.tag != "") {
-		k := st.Ops().Key()
-		if st.tag != "" {
-			k += "#" + st.tag
-		}
-		st.key = k
+	if st.x == nil {
+		st.x = &stateExtra{}
 	}
-	return st.key
+	if x := st.x; x.key == "" && (st.depth > 0 || x.tag != "") {
+		x.key = st.Ops().Key()
+		if x.tag != "" {
+			x.key += "#" + x.tag
+		}
+	}
+	return st.x.key
 }
 
 // Doc returns the list value at this state, or nil when the space does not
@@ -212,30 +230,33 @@ func (st *State) Key() string {
 // operation that cannot apply is a protocol bug, caught eagerly under
 // WithCP1Check.
 func (st *State) Doc() list.Doc {
-	if st.doc != nil || st.docParent == nil {
-		return st.doc
+	if st.x == nil {
+		return nil
+	}
+	if st.x.doc != nil || st.x.docParent == nil {
+		return st.x.doc
 	}
 	// Walk up to the nearest materialized document, then replay downward.
 	chain := []*State{st}
-	cur := st.docParent
-	for cur.doc == nil && cur.docParent != nil {
+	cur := st.x.docParent
+	for cur.x.doc == nil && cur.x.docParent != nil {
 		chain = append(chain, cur)
-		cur = cur.docParent
+		cur = cur.x.docParent
 	}
-	if cur.doc == nil {
+	if cur.x.doc == nil {
 		return nil
 	}
-	d := cur.doc
+	d := cur.x.doc
 	for i := len(chain) - 1; i >= 0; i-- {
-		ns := chain[i]
+		ns := chain[i].x
 		nd := d.Clone()
 		if err := ot.Apply(nd, ns.docOp); err != nil {
-			panic(fmt.Sprintf("statespace: derive doc at %s via %s: %v", ns, ns.docOp, err))
+			panic(fmt.Sprintf("statespace: derive doc at %s via %s: %v", chain[i], ns.docOp, err))
 		}
 		ns.doc = nd
 		d = nd
 	}
-	return st.doc
+	return st.x.doc
 }
 
 // String renders the state as its operation set, e.g. "{c1:1,c3:1}".
@@ -247,34 +268,26 @@ type Edge struct {
 	Op       ot.Op // the labeling operation (Op.ID is the original identity)
 	From, To *State
 
-	key OrderKey
+	key *OrderKey // Op.ID's cell, shared by all its edges (Space.orderOf)
 }
 
 // OrderKey returns the edge's current order key.
-func (e *Edge) OrderKey() OrderKey { return e.key }
+func (e *Edge) OrderKey() OrderKey { return *e.key }
 
 // String renders the edge.
 func (e *Edge) String() string {
 	return fmt.Sprintf("%s --%s--> %s", e.From, e.Op, e.To)
 }
 
-// extKey indexes a child state by its parent identity and added operation.
-type extKey struct {
-	parent StateID
-	op     opid.OpID
-}
-
 // Space is an n-ary ordered state-space.
 type Space struct {
-	byHash      map[uint64]*State // intern index: set hash (^ tag hash) → chain
-	byID        []*State          // dense StateID → state (nil after compaction)
-	ext         map[extKey]*State // child-extension index
-	numStates   int
-	initial     *State
-	final       *State
-	edgesByOrig map[opid.OpID][]*Edge
-	orderOf     map[opid.OpID]OrderKey
-	numEdges    int
+	byHash    map[uint64]*State // intern index: set hash (^ tag hash) → chain
+	byID      []*State          // dense StateID → state (nil after compaction)
+	numStates int
+	initial   *State
+	final     *State
+	orderOf   map[opid.OpID]*OrderKey // integrated operation → its key cell
+	numEdges  int
 
 	pathBuf []*Edge // reusable leftmostPath scratch (hot path, no allocs)
 
@@ -322,20 +335,17 @@ func New(initialDoc list.Doc, opts ...Option) *Space {
 // (the same contract as CompactTo).
 func NewAt(root opid.Set, initialDoc list.Doc, opts ...Option) *Space {
 	s := &Space{
-		byHash:      make(map[uint64]*State),
-		ext:         make(map[extKey]*State),
-		edgesByOrig: make(map[opid.OpID][]*Edge),
-		orderOf:     make(map[opid.OpID]OrderKey),
+		byHash:  make(map[uint64]*State),
+		orderOf: make(map[opid.OpID]*OrderKey),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	init := &State{base: root.Clone(), hash: root.Hash(), depth: len(root)}
 	if s.recordDocs {
+		init.x = &stateExtra{doc: list.NewDocument()}
 		if initialDoc != nil {
-			init.doc = initialDoc.Clone()
-		} else {
-			init.doc = list.NewDocument()
+			init.x.doc = initialDoc.Clone()
 		}
 	}
 	s.intern(init)
@@ -359,7 +369,7 @@ func tagHash(tag string) uint64 {
 func (s *Space) intern(st *State) {
 	st.id = StateID(len(s.byID))
 	s.byID = append(s.byID, st)
-	h := st.hash ^ tagHash(st.tag)
+	h := st.hash ^ tagHash(st.tag())
 	st.collide = s.byHash[h]
 	s.byHash[h] = st
 	s.numStates++
@@ -397,18 +407,26 @@ func (s *Space) StateOf(ops opid.Set) (*State, bool) {
 }
 
 // Child returns the state reached from parent by adding the given original
-// operation, using the child-extension index (O(1)).
+// operation: a scan of parent's outgoing transitions, at most n of them
+// (Lemma 6.1).
 func (s *Space) Child(parent *State, id opid.OpID) (*State, bool) {
-	st, ok := s.ext[extKey{parent.id, id}]
-	return st, ok
+	for _, e := range parent.edges {
+		if e.Op.ID == id {
+			return e.To, true
+		}
+	}
+	return nil, false
 }
 
 // OrderKeyOf returns the current order key of an integrated original
 // operation (PendingKey if not yet promoted), and whether the operation is
 // known to the space at all.
 func (s *Space) OrderKeyOf(id opid.OpID) (OrderKey, bool) {
-	k, ok := s.orderOf[id]
-	return k, ok
+	cell, ok := s.orderOf[id]
+	if !ok {
+		return 0, false
+	}
+	return *cell, true
 }
 
 // Integrate performs the uniform operation processing of Section 6.2,
@@ -459,8 +477,10 @@ func (s *Space) integrateAt(o ot.Op, sigma *State, key OrderKey) (ot.Op, error) 
 		s.auditLog = append(s.auditLog, entry)
 	}
 
-	// Save o at σ along the transition of the right order (step 1).
-	prev, err := s.addTransition(sigma, o, key)
+	// Save o at σ along the transition of the right order (step 1). Every
+	// transition o labels shares one key cell.
+	cell := &key
+	prev, err := s.addTransition(sigma, o, cell)
 	if err != nil {
 		return ot.Op{}, err
 	}
@@ -478,12 +498,12 @@ func (s *Space) integrateAt(o ot.Op, sigma *State, key OrderKey) (ot.Op, error) 
 		}
 		// Vertical rung: from the existing state f.To, labeled with the
 		// progressively transformed o.
-		if err := s.linkEdge(f.To, ns, cur, key); err != nil {
+		if err := s.linkEdge(f.To, ns, cur, cell); err != nil {
 			return ot.Op{}, err
 		}
 		// Horizontal rail: from the previous new state, labeled with f
-		// transformed to include o; it inherits f's order key.
-		if err := s.linkEdge(prev, ns, fT, s.orderOf[f.Op.ID]); err != nil {
+		// transformed to include o; it shares f's order-key cell.
+		if err := s.linkEdge(prev, ns, fT, f.key); err != nil {
 			return ot.Op{}, err
 		}
 		if s.recordDocs {
@@ -497,7 +517,7 @@ func (s *Space) integrateAt(o ot.Op, sigma *State, key OrderKey) (ot.Op, error) 
 	// Register the operation only now: a failed integration (no matching
 	// state, stuck leftmost path) must leave the space able to retry the
 	// same operation rather than reporting ErrDuplicateOp forever.
-	s.orderOf[o.ID] = key
+	s.orderOf[o.ID] = cell
 	s.final = prev
 	return cur, nil
 }
@@ -507,8 +527,7 @@ func (s *Space) integrateAt(o ot.Op, sigma *State, key OrderKey) (ot.Op, error) 
 // checking, where both sides of the commutative square (vertical parent top
 // via vop, horizontal parent prevNew via hop) are computed and compared.
 func (s *Space) snapshotDoc(ns, top *State, vop ot.Op, prevNew *State, hop ot.Op) error {
-	ns.docParent = top
-	ns.docOp = vop
+	ns.x = &stateExtra{docParent: top, docOp: vop}
 	if !s.verifyCP1 {
 		return nil
 	}
@@ -516,7 +535,7 @@ func (s *Space) snapshotDoc(ns, top *State, vop ot.Op, prevNew *State, hop ot.Op
 	if err := ot.Apply(d, vop); err != nil {
 		return fmt.Errorf("statespace: snapshot via %s: %w", vop, err)
 	}
-	ns.doc = d
+	ns.x.doc = d
 	d2 := prevNew.Doc().Clone()
 	if err := ot.Apply(d2, hop); err != nil {
 		return fmt.Errorf("statespace: cp1 side via %s: %w", hop, err)
@@ -529,7 +548,7 @@ func (s *Space) snapshotDoc(ns, top *State, vop ot.Op, prevNew *State, hop ot.Op
 
 // addTransition creates the state σ∪{o} and links σ to it with o, placed in
 // sibling order; the new state's document is derived when docs are recorded.
-func (s *Space) addTransition(sigma *State, o ot.Op, key OrderKey) (*State, error) {
+func (s *Space) addTransition(sigma *State, o ot.Op, key *OrderKey) (*State, error) {
 	ns, err := s.newChild(sigma, o.ID)
 	if err != nil {
 		return nil, err
@@ -538,14 +557,13 @@ func (s *Space) addTransition(sigma *State, o ot.Op, key OrderKey) (*State, erro
 		return nil, err
 	}
 	if s.recordDocs {
-		ns.docParent = sigma
-		ns.docOp = o
+		ns.x = &stateExtra{docParent: sigma, docOp: o}
 		if s.verifyCP1 {
 			d := sigma.Doc().Clone()
 			if err := ot.Apply(d, o); err != nil {
 				return nil, fmt.Errorf("statespace: apply %s at %s: %w", o, sigma, err)
 			}
-			ns.doc = d
+			ns.x.doc = d
 		}
 	}
 	return ns, nil
@@ -554,10 +572,10 @@ func (s *Space) addTransition(sigma *State, o ot.Op, key OrderKey) (*State, erro
 // newChild allocates a fresh state for parent's set extended with added, in
 // O(1): the identity hash derives incrementally from the parent's. Ladder
 // states are always new — the integrated operation is new to this replica,
-// so no existing state's set can contain it; the child-extension and intern
-// indexes enforce that.
+// so no existing state's set can contain it; a scan of parent's at most n
+// transitions and the intern index enforce that.
 func (s *Space) newChild(parent *State, added opid.OpID) (*State, error) {
-	if dup, ok := s.ext[extKey{parent.id, added}]; ok {
+	if dup, ok := s.Child(parent, added); ok {
 		return nil, fmt.Errorf("statespace: state %s unexpectedly exists", dup)
 	}
 	hash := parent.hash ^ added.Hash()
@@ -578,7 +596,7 @@ func (s *Space) newChild(parent *State, added opid.OpID) (*State, error) {
 // linkEdge inserts the transition from→to labeled op at its ordered sibling
 // position. Sibling operations are pairwise concurrent and distinct, so
 // order keys plus the identity tie-break give a strict order.
-func (s *Space) linkEdge(from, to *State, op ot.Op, key OrderKey) error {
+func (s *Space) linkEdge(from, to *State, op ot.Op, key *OrderKey) error {
 	if !s.relaxed {
 		for _, e := range from.edges {
 			if e.Op.ID == op.ID {
@@ -594,8 +612,6 @@ func (s *Space) linkEdge(from, to *State, op ot.Op, key OrderKey) error {
 	copy(from.edges[idx+1:], from.edges[idx:])
 	from.edges[idx] = e
 	to.parents = append(to.parents, e)
-	s.ext[extKey{from.id, op.ID}] = to
-	s.edgesByOrig[op.ID] = append(s.edgesByOrig[op.ID], e)
 	s.numEdges++
 	return nil
 }
@@ -604,33 +620,44 @@ func (s *Space) linkEdge(from, to *State, op ot.Op, key OrderKey) error {
 // pending operations, which a correct protocol never produces as siblings)
 // by identity for determinism.
 func edgeLess(a, b *Edge) bool {
-	if a.key != b.key {
-		return a.key < b.key
+	if *a.key != *b.key {
+		return *a.key < *b.key
 	}
 	return a.Op.ID.Less(b.Op.ID)
 }
 
 // Promote installs the server-assigned order key for an operation that was
-// integrated as pending. All transitions labeled by the operation are
-// re-keyed. Sibling orders never change: by the FIFO argument in the package
-// comment, every sibling placed while the operation was pending already has
-// a smaller key.
+// integrated as pending. All transitions labeled by the operation share its
+// key cell, so one store re-keys them. Sibling orders never change: by the
+// FIFO argument in the package comment, every sibling placed while the
+// operation was pending already has a smaller key.
 func (s *Space) Promote(id opid.OpID, key OrderKey) error {
-	cur, ok := s.orderOf[id]
+	cell, ok := s.orderOf[id]
 	if !ok {
 		return fmt.Errorf("statespace: promote unknown op %s", id)
 	}
-	if cur != PendingKey {
-		if cur == key {
+	if *cell != PendingKey {
+		if *cell == key {
 			return nil
 		}
-		return fmt.Errorf("statespace: op %s already has key %d, cannot re-key to %d", id, cur, key)
+		return fmt.Errorf("statespace: op %s already has key %d, cannot re-key to %d", id, *cell, key)
 	}
-	s.orderOf[id] = key
-	for _, e := range s.edgesByOrig[id] {
-		e.key = key
-	}
+	*cell = key
 	return nil
+}
+
+// keyCell returns id's order-key cell, registering a fresh one that holds
+// key if id is new. All edges of an operation share its cell, so an edge
+// whose key disagrees with the operation's is refused rather than re-keyed.
+func (s *Space) keyCell(id opid.OpID, key OrderKey) (*OrderKey, error) {
+	cell, ok := s.orderOf[id]
+	if !ok {
+		cell = &key
+		s.orderOf[id] = cell
+	} else if *cell != key {
+		return nil, fmt.Errorf("statespace: edge of %s has order key %d, the operation has %d", id, key, *cell)
+	}
+	return cell, nil
 }
 
 // leftmostPath returns the transitions along the leftmost path from st to
