@@ -35,8 +35,9 @@ bench:
 	$(GO) test -run xxx -bench=. -benchmem .
 
 # One iteration of every benchmark: proves they all still compile and run.
+# The checker benchmarks live beside the checkers, in internal/spec.
 bench-smoke:
-	$(GO) test -run NONE -bench . -benchtime=1x .
+	$(GO) test -run NONE -bench . -benchtime=1x . ./internal/spec
 
 # Compare two `go test -bench` output files (OLD=..., NEW=...) and fail on
 # regressions past THRESHOLD (ratio) on METRIC. Example:

@@ -650,7 +650,7 @@ func (c *Client) applyServerFrame(s *wire.Server, gen int) bool {
 		return false
 	}
 	if err := c.replica.Receive(s.Msg); err != nil {
-		c.fail(fmt.Errorf("client: apply frame %d: %w", s.Seq, err))
+		c.failLocked(fmt.Errorf("client: apply frame %d: %w", s.Seq, err))
 		return false
 	}
 	c.lastFrameSeq = s.Seq
@@ -694,11 +694,16 @@ func (c *Client) applyServerFrame(s *wire.Server, gen int) bool {
 // fail records a terminal error and wakes every waiter.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
+	c.failLocked(err)
+	c.mu.Unlock()
+}
+
+// failLocked is fail for a caller that holds c.mu.
+func (c *Client) failLocked(err error) {
 	if c.termErr == nil {
 		c.termErr = err
 	}
 	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
 // generate runs one local edit and ships (or buffers) the message, returning
