@@ -378,7 +378,7 @@ func (c *Client) connect() error {
 		nc.Close()
 		err := fmt.Errorf("client: server rejected session: %s: %s", f.Error.Code, f.Error.Msg)
 		switch f.Error.Code {
-		case wire.CodeBadResume:
+		case wire.CodeBadResume, wire.CodeProtocol:
 			c.fail(err)
 		case wire.CodeNotLeader:
 			c.rotateAddr(f.Error.Leader)
@@ -622,8 +622,11 @@ func (c *Client) readFrames(codec *wire.Stream, gen int) {
 			c.logf("client c%d: document moved to shard %s", c.ID(), f.Moved.Shard)
 			return
 		case wire.TError:
-			if f.Error.Code == wire.CodeBadResume {
-				c.fail(fmt.Errorf("client: server rejected resume: %s", f.Error.Msg))
+			// A refused resume or operation would be refused again after
+			// every reconnect, so it ends the session. Anything else (an op
+			// gap, a shutdown, a slow-client cut) is repaired by resuming.
+			if f.Error.Code == wire.CodeBadResume || f.Error.Code == wire.CodeProtocol {
+				c.fail(fmt.Errorf("client: server rejected session: %s: %s", f.Error.Code, f.Error.Msg))
 			}
 			c.logf("client c%d: server error: %s: %s", c.ID(), f.Error.Code, f.Error.Msg)
 			return

@@ -340,7 +340,7 @@ func (h *docHost) doOp(c *conn, msg css.ClientMsg) bool {
 		h.eng.reg.Counter("op_gap_disconnects_total").Inc()
 		h.eng.logf("doc %q: c%d: op seq gap (got %d, want %d), disconnecting",
 			h.name, slot.id, msg.Op.ID.Seq, slot.lastOpSeq+1)
-		c.reject(wire.CodeProtocol, "operation sequence gap: transport dropped a frame")
+		c.reject(wire.CodeOpGap, "operation sequence gap: transport dropped a frame")
 		slot.conn = nil
 		c.close()
 		return false

@@ -6,16 +6,9 @@ import (
 	"sync"
 
 	"jupiter/internal/core"
-	"jupiter/internal/cscw"
-	"jupiter/internal/css"
 	"jupiter/internal/faultnet"
 	"jupiter/internal/list"
-	"jupiter/internal/logoot"
 	"jupiter/internal/opid"
-	"jupiter/internal/rga"
-	"jupiter/internal/statespace"
-	"jupiter/internal/treedoc"
-	"jupiter/internal/woot"
 )
 
 // AsyncConfig configures RunAsync.
@@ -73,27 +66,6 @@ type AsyncResult struct {
 // quiesced.
 var ErrStopped = fmt.Errorf("sim: run stopped by caller")
 
-// delivery is a server-to-client message with its destination index.
-type delivery struct {
-	to  int
-	msg any
-}
-
-// asyncAdapter adapts one protocol to the goroutine engine. Each client
-// replica is owned exclusively by its goroutine; the server replica by the
-// server goroutine; no locks are needed beyond the shared history recorder.
-type asyncAdapter interface {
-	clientGenIns(i int, val rune, pos int) (any, error)
-	clientGenDel(i int, pos int) (any, error)
-	clientRecv(i int, msg any) error
-	clientDocLen(i int) int
-	// expectedClientMsgs returns how many messages client i will receive in
-	// a full run of totalOps operations of which own were its.
-	expectedClientMsgs(own, total int) int
-	serverRecv(from int, msg any) ([]delivery, error)
-	result(rec *core.History) *AsyncResult
-}
-
 // RunAsync executes a full random workload with every replica in its own
 // goroutine, connected by buffered Go channels (one per direction per
 // client, FIFO like the paper's TCP connections). It returns once the
@@ -115,38 +87,14 @@ func RunAsync(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
 	if cfg.Faults != nil {
 		return runChaos(p, cfg)
 	}
-	if cfg.Clients < 1 || cfg.OpsPerClient < 0 {
-		return nil, fmt.Errorf("sim: bad async config %+v", cfg)
-	}
-	ids := make([]opid.ClientID, cfg.Clients)
-	for i := range ids {
-		ids[i] = opid.ClientID(i + 1)
-	}
-	var hist *core.History
-	var rec core.Recorder
-	if cfg.Record {
-		hist = &core.History{}
-		if cfg.Initial != nil {
-			hist.Seed = cfg.Initial.Elems()
-		}
-		rec = &core.LockedRecorder{R: hist}
-	}
-	var ad asyncAdapter
-	switch p {
-	case CSS:
-		ad = newCSSAsync(ids, cfg.Initial, rec)
-	case CSCW:
-		ad = newCSCWAsync(ids, cfg.Initial, rec)
-	case RGA:
-		ad = newRGAAsync(ids, rec)
-	case Logoot:
-		ad = newLogootAsync(ids, rec)
-	case TreeDoc:
-		ad = newTreedocAsync(ids, rec)
-	case WOOT:
-		ad = newWootAsync(ids, rec)
-	default:
+	if p == Broken {
+		// The relay keeps no server document to report, and its clients
+		// diverge by design.
 		return nil, fmt.Errorf("sim: async runtime does not support protocol %q", p)
+	}
+	ad, hist, err := newRun(p, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	n := cfg.Clients
@@ -231,7 +179,13 @@ func RunAsync(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
 		go func(i int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-			expected := ad.expectedClientMsgs(cfg.OpsPerClient, total)
+			// Every operation reaches every client: the others' as
+			// broadcasts, its own as acknowledgements if the protocol
+			// sends them.
+			expected := total
+			if !ad.acks() {
+				expected -= cfg.OpsPerClient
+			}
 			gen, recv := 0, 0
 			alphabet := DefaultAlphabet
 			for gen < cfg.OpsPerClient || recv < expected {
@@ -249,14 +203,14 @@ func RunAsync(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
 				default:
 				}
 				if gen < cfg.OpsPerClient {
-					docLen := ad.clientDocLen(i)
+					docLen := len(ad.doc(i))
 					var msg any
 					var err error
 					if docLen > 0 && r.Float64() < cfg.DeleteRatio {
-						msg, err = ad.clientGenDel(i, r.Intn(docLen))
+						msg, err = ad.genDel(i, r.Intn(docLen))
 					} else {
 						val := alphabet[(i*cfg.OpsPerClient+gen)%len(alphabet)]
-						msg, err = ad.clientGenIns(i, val, r.Intn(docLen+1))
+						msg, err = ad.genIns(i, val, r.Intn(docLen+1))
 					}
 					if err != nil {
 						fail(fmt.Errorf("client %d: %w", i+1, err))
@@ -289,454 +243,34 @@ func RunAsync(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
 
 	wg.Wait()
 	mu.Lock()
-	err := firstErr
+	err = firstErr
 	mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return ad.result(hist), nil
+	return result(ad, n, hist), nil
 }
 
-// ---------------------------------------------------------------- CSS ----
-
-type cssAsync struct {
-	ids     []opid.ClientID
-	server  *css.Server
-	clients []*css.Client
-	rec     core.Recorder
-}
-
-func newCSSAsync(ids []opid.ClientID, initial list.Doc, rec core.Recorder) *cssAsync {
-	a := &cssAsync{ids: ids, server: css.NewServer(ids, initial, rec), rec: rec}
-	for _, id := range ids {
-		a.clients = append(a.clients, css.NewClient(id, initial, rec))
+// newRun validates cfg and builds protocol p's adapter for a run of the
+// goroutine or the chaos runtime.
+func newRun(p Protocol, cfg AsyncConfig) (adapter, *core.History, error) {
+	if cfg.Clients < 1 || cfg.OpsPerClient < 0 {
+		return nil, nil, fmt.Errorf("sim: bad async config %+v", cfg)
 	}
-	return a
+	hist, rec := newHistory(cfg.Record, cfg.Initial, true)
+	ad, err := newAdapter(p, Config{Clients: cfg.Clients, Initial: cfg.Initial}, rec)
+	return ad, hist, err
 }
 
-// saveClient / restoreClient implement chaosCrashable: a CSS client's crash
-// snapshot is the real css.Client.Save JSON, round-tripped through
-// css.RestoreClient on recovery (the full serialize/deserialize path, not a
-// kept pointer).
-func (a *cssAsync) saveClient(i int) ([]byte, error) { return a.clients[i].Save() }
-
-func (a *cssAsync) restoreClient(i int, data []byte) error {
-	c, err := css.RestoreClient(data, a.rec)
-	if err != nil {
-		return err
+// result collects the documents of the server and of clients c1 … cn, and
+// the adapter's stats.
+func result(ad adapter, n int, hist *core.History) *AsyncResult {
+	res := &AsyncResult{Docs: make(map[string][]list.Elem, n+1), History: hist, Stats: ad.stats()}
+	if doc, ok := ad.serverDoc(); ok {
+		res.Docs[opid.ServerName] = doc
 	}
-	a.clients[i] = c
-	return nil
-}
-
-// retireClient / joinClient implement chaosRejoinable: a lost-state crash
-// removes the replica from the server's broadcast set for good, and
-// recovery joins a FRESH client from a server snapshot
-// (css.NewClientFromSnapshot), caught up to everything serialized so far.
-func (a *cssAsync) retireClient(i int) (string, error) {
-	return a.ids[i].String(), a.server.RemoveClient(a.ids[i])
-}
-
-func (a *cssAsync) joinClient() (int, string, error) {
-	id := opid.ClientID(len(a.ids) + 1)
-	snap := a.server.Snapshot()
-	if err := a.server.AddClient(id); err != nil {
-		return 0, "", err
-	}
-	c, err := css.NewClientFromSnapshot(id, snap, a.rec)
-	if err != nil {
-		return 0, "", err
-	}
-	a.ids = append(a.ids, id)
-	a.clients = append(a.clients, c)
-	return len(a.clients) - 1, id.String(), nil
-}
-
-func (a *cssAsync) clientGenIns(i int, val rune, pos int) (any, error) {
-	return a.clients[i].GenerateIns(val, pos)
-}
-
-func (a *cssAsync) clientGenDel(i int, pos int) (any, error) {
-	return a.clients[i].GenerateDel(pos)
-}
-
-func (a *cssAsync) clientRecv(i int, msg any) error {
-	m, ok := msg.(css.ServerMsg)
-	if !ok {
-		return fmt.Errorf("css async: unexpected message %T", msg)
-	}
-	return a.clients[i].Receive(m)
-}
-
-func (a *cssAsync) clientDocLen(i int) int { return len(a.clients[i].Document()) }
-
-// expectedClientMsgs: every operation reaches every client — as a broadcast
-// for others' operations, as an acknowledgement for its own.
-func (a *cssAsync) expectedClientMsgs(_, total int) int { return total }
-
-func (a *cssAsync) serverRecv(_ int, msg any) ([]delivery, error) {
-	m, ok := msg.(css.ClientMsg)
-	if !ok {
-		return nil, fmt.Errorf("css async: unexpected message %T", msg)
-	}
-	outs, err := a.server.Receive(m)
-	if err != nil {
-		return nil, err
-	}
-	ds := make([]delivery, len(outs))
-	for k, o := range outs {
-		ds[k] = delivery{to: int(o.To) - 1, msg: o.Msg}
-	}
-	return ds, nil
-}
-
-func (a *cssAsync) result(hist *core.History) *AsyncResult {
-	res := &AsyncResult{Docs: make(map[string][]list.Elem, len(a.clients)+1), History: hist}
-	res.Docs[opid.ServerName] = a.server.Document()
-	sp := a.server.Space()
-	res.Stats = append(res.Stats, SpaceStat{Replica: opid.ServerName, Name: "CSSs", States: sp.NumStates(), Edges: sp.NumEdges(), Bytes: sp.ByteSize()})
-	for k, c := range a.clients {
-		res.Docs[a.ids[k].String()] = c.Document()
-		sp := c.Space()
-		res.Stats = append(res.Stats, SpaceStat{Replica: a.ids[k].String(), Name: "CSS" + a.ids[k].String(), States: sp.NumStates(), Edges: sp.NumEdges(), Bytes: sp.ByteSize()})
-	}
-	return res
-}
-
-// Spaces returns the state-spaces (server first) for structural assertions.
-func (a *cssAsync) Spaces() []*statespace.Space {
-	out := []*statespace.Space{a.server.Space()}
-	for _, c := range a.clients {
-		out = append(out, c.Space())
-	}
-	return out
-}
-
-// --------------------------------------------------------------- CSCW ----
-
-type cscwAsync struct {
-	ids     []opid.ClientID
-	server  *cscw.Server
-	clients []*cscw.Client
-}
-
-func newCSCWAsync(ids []opid.ClientID, initial list.Doc, rec core.Recorder) *cscwAsync {
-	a := &cscwAsync{ids: ids, server: cscw.NewServer(ids, initial, rec)}
-	for _, id := range ids {
-		a.clients = append(a.clients, cscw.NewClient(id, initial, rec))
-	}
-	return a
-}
-
-// saveClient / restoreClient implement chaosCrashable for CSCW, which has
-// no persistence format: the replica object itself is retained across the
-// crash (modeling perfect persistence of the full state), so the crash
-// still loses in-flight traffic and volatile session buffers, and recovery
-// still exercises session-level replay and dedup.
-func (a *cscwAsync) saveClient(int) ([]byte, error)  { return nil, nil }
-func (a *cscwAsync) restoreClient(int, []byte) error { return nil }
-
-func (a *cscwAsync) clientGenIns(i int, val rune, pos int) (any, error) {
-	return a.clients[i].GenerateIns(val, pos)
-}
-
-func (a *cscwAsync) clientGenDel(i int, pos int) (any, error) {
-	return a.clients[i].GenerateDel(pos)
-}
-
-func (a *cscwAsync) clientRecv(i int, msg any) error {
-	m, ok := msg.(cscw.ServerMsg)
-	if !ok {
-		return fmt.Errorf("cscw async: unexpected message %T", msg)
-	}
-	return a.clients[i].Receive(m)
-}
-
-func (a *cscwAsync) clientDocLen(i int) int { return len(a.clients[i].Document()) }
-
-func (a *cscwAsync) expectedClientMsgs(_, total int) int { return total }
-
-func (a *cscwAsync) serverRecv(_ int, msg any) ([]delivery, error) {
-	m, ok := msg.(cscw.ClientMsg)
-	if !ok {
-		return nil, fmt.Errorf("cscw async: unexpected message %T", msg)
-	}
-	outs, err := a.server.Receive(m)
-	if err != nil {
-		return nil, err
-	}
-	ds := make([]delivery, len(outs))
-	for k, o := range outs {
-		ds[k] = delivery{to: int(o.To) - 1, msg: o.Msg}
-	}
-	return ds, nil
-}
-
-func (a *cscwAsync) result(hist *core.History) *AsyncResult {
-	res := &AsyncResult{Docs: make(map[string][]list.Elem, len(a.clients)+1), History: hist}
-	res.Docs[opid.ServerName] = a.server.Document()
-	for _, d := range a.server.DSSs() {
-		res.Stats = append(res.Stats, SpaceStat{Replica: opid.ServerName, Name: d.Name, States: d.States, Edges: d.Edges})
-	}
-	for k, c := range a.clients {
-		res.Docs[a.ids[k].String()] = c.Document()
-		d := c.DSS()
-		res.Stats = append(res.Stats, SpaceStat{Replica: a.ids[k].String(), Name: d.Name, States: d.States, Edges: d.Edges})
-	}
-	return res
-}
-
-// ---------------------------------------------------------------- RGA ----
-
-type rgaAsync struct {
-	ids     []opid.ClientID
-	server  *rga.Server
-	clients []*rga.Replica
-}
-
-func newRGAAsync(ids []opid.ClientID, rec core.Recorder) *rgaAsync {
-	a := &rgaAsync{ids: ids, server: rga.NewServer(ids, rec)}
-	for _, id := range ids {
-		a.clients = append(a.clients, rga.NewReplica(id.String(), id, rec))
-	}
-	return a
-}
-
-func (a *rgaAsync) clientGenIns(i int, val rune, pos int) (any, error) {
-	return a.clients[i].GenerateIns(val, pos)
-}
-
-func (a *rgaAsync) clientGenDel(i int, pos int) (any, error) {
-	return a.clients[i].GenerateDel(pos)
-}
-
-func (a *rgaAsync) clientRecv(i int, msg any) error {
-	eff, ok := msg.(rga.Effect)
-	if !ok {
-		return fmt.Errorf("rga async: unexpected message %T", msg)
-	}
-	return a.clients[i].Integrate(eff)
-}
-
-func (a *rgaAsync) clientDocLen(i int) int { return len(a.clients[i].Document()) }
-
-// expectedClientMsgs: RGA has no acknowledgements — a client receives the
-// other clients' effects only.
-func (a *rgaAsync) expectedClientMsgs(own, total int) int { return total - own }
-
-func (a *rgaAsync) serverRecv(from int, msg any) ([]delivery, error) {
-	eff, ok := msg.(rga.Effect)
-	if !ok {
-		return nil, fmt.Errorf("rga async: unexpected message %T", msg)
-	}
-	outs, err := a.server.Receive(a.ids[from], eff)
-	if err != nil {
-		return nil, err
-	}
-	ds := make([]delivery, len(outs))
-	for k, o := range outs {
-		ds[k] = delivery{to: int(o.To) - 1, msg: o.Effect}
-	}
-	return ds, nil
-}
-
-func (a *rgaAsync) result(hist *core.History) *AsyncResult {
-	res := &AsyncResult{Docs: make(map[string][]list.Elem, len(a.clients)+1), History: hist}
-	res.Docs[opid.ServerName] = a.server.Document()
-	res.Stats = append(res.Stats, SpaceStat{Replica: opid.ServerName, Name: "rga", States: a.server.TotalNodes()})
-	for k, c := range a.clients {
-		res.Docs[a.ids[k].String()] = c.Document()
-		res.Stats = append(res.Stats, SpaceStat{Replica: a.ids[k].String(), Name: "rga", States: c.TotalNodes()})
-	}
-	return res
-}
-
-// ------------------------------------------------------------- Logoot ----
-
-type logootAsync struct {
-	ids     []opid.ClientID
-	server  *logoot.Server
-	clients []*logoot.Replica
-}
-
-func newLogootAsync(ids []opid.ClientID, rec core.Recorder) *logootAsync {
-	a := &logootAsync{ids: ids, server: logoot.NewServer(ids, rec)}
-	for _, id := range ids {
-		a.clients = append(a.clients, logoot.NewReplica(id.String(), id, rec))
-	}
-	return a
-}
-
-func (a *logootAsync) clientGenIns(i int, val rune, pos int) (any, error) {
-	return a.clients[i].GenerateIns(val, pos)
-}
-
-func (a *logootAsync) clientGenDel(i int, pos int) (any, error) {
-	return a.clients[i].GenerateDel(pos)
-}
-
-func (a *logootAsync) clientRecv(i int, msg any) error {
-	eff, ok := msg.(logoot.Effect)
-	if !ok {
-		return fmt.Errorf("logoot async: unexpected message %T", msg)
-	}
-	return a.clients[i].Integrate(eff)
-}
-
-func (a *logootAsync) clientDocLen(i int) int { return a.clients[i].Len() }
-
-// expectedClientMsgs: like RGA, no acknowledgements.
-func (a *logootAsync) expectedClientMsgs(own, total int) int { return total - own }
-
-func (a *logootAsync) serverRecv(from int, msg any) ([]delivery, error) {
-	eff, ok := msg.(logoot.Effect)
-	if !ok {
-		return nil, fmt.Errorf("logoot async: unexpected message %T", msg)
-	}
-	outs, err := a.server.Receive(a.ids[from], eff)
-	if err != nil {
-		return nil, err
-	}
-	ds := make([]delivery, len(outs))
-	for k, o := range outs {
-		ds[k] = delivery{to: int(o.To) - 1, msg: o.Effect}
-	}
-	return ds, nil
-}
-
-func (a *logootAsync) result(hist *core.History) *AsyncResult {
-	res := &AsyncResult{Docs: make(map[string][]list.Elem, len(a.clients)+1), History: hist}
-	res.Docs[opid.ServerName] = a.server.Document()
-	res.Stats = append(res.Stats, SpaceStat{Replica: opid.ServerName, Name: "logoot", States: a.server.Len()})
-	for k, c := range a.clients {
-		res.Docs[a.ids[k].String()] = c.Document()
-		res.Stats = append(res.Stats, SpaceStat{Replica: a.ids[k].String(), Name: "logoot", States: c.Len()})
-	}
-	return res
-}
-
-// ------------------------------------------------------------ TreeDoc ----
-
-type treedocAsync struct {
-	ids     []opid.ClientID
-	server  *treedoc.Server
-	clients []*treedoc.Replica
-}
-
-func newTreedocAsync(ids []opid.ClientID, rec core.Recorder) *treedocAsync {
-	a := &treedocAsync{ids: ids, server: treedoc.NewServer(ids, rec)}
-	for _, id := range ids {
-		a.clients = append(a.clients, treedoc.NewReplica(id.String(), id, rec))
-	}
-	return a
-}
-
-func (a *treedocAsync) clientGenIns(i int, val rune, pos int) (any, error) {
-	return a.clients[i].GenerateIns(val, pos)
-}
-
-func (a *treedocAsync) clientGenDel(i int, pos int) (any, error) {
-	return a.clients[i].GenerateDel(pos)
-}
-
-func (a *treedocAsync) clientRecv(i int, msg any) error {
-	eff, ok := msg.(treedoc.Effect)
-	if !ok {
-		return fmt.Errorf("treedoc async: unexpected message %T", msg)
-	}
-	return a.clients[i].Integrate(eff)
-}
-
-func (a *treedocAsync) clientDocLen(i int) int { return len(a.clients[i].Document()) }
-
-func (a *treedocAsync) expectedClientMsgs(own, total int) int { return total - own }
-
-func (a *treedocAsync) serverRecv(from int, msg any) ([]delivery, error) {
-	eff, ok := msg.(treedoc.Effect)
-	if !ok {
-		return nil, fmt.Errorf("treedoc async: unexpected message %T", msg)
-	}
-	outs, err := a.server.Receive(a.ids[from], eff)
-	if err != nil {
-		return nil, err
-	}
-	ds := make([]delivery, len(outs))
-	for k, o := range outs {
-		ds[k] = delivery{to: int(o.To) - 1, msg: o.Effect}
-	}
-	return ds, nil
-}
-
-func (a *treedocAsync) result(hist *core.History) *AsyncResult {
-	res := &AsyncResult{Docs: make(map[string][]list.Elem, len(a.clients)+1), History: hist}
-	res.Docs[opid.ServerName] = a.server.Document()
-	res.Stats = append(res.Stats, SpaceStat{Replica: opid.ServerName, Name: "treedoc", States: a.server.TotalNodes()})
-	for k, c := range a.clients {
-		res.Docs[a.ids[k].String()] = c.Document()
-		res.Stats = append(res.Stats, SpaceStat{Replica: a.ids[k].String(), Name: "treedoc", States: c.TotalNodes()})
-	}
-	return res
-}
-
-// --------------------------------------------------------------- WOOT ----
-
-type wootAsync struct {
-	ids     []opid.ClientID
-	server  *woot.Server
-	clients []*woot.Replica
-}
-
-func newWootAsync(ids []opid.ClientID, rec core.Recorder) *wootAsync {
-	a := &wootAsync{ids: ids, server: woot.NewServer(ids, rec)}
-	for _, id := range ids {
-		a.clients = append(a.clients, woot.NewReplica(id.String(), id, rec))
-	}
-	return a
-}
-
-func (a *wootAsync) clientGenIns(i int, val rune, pos int) (any, error) {
-	return a.clients[i].GenerateIns(val, pos)
-}
-
-func (a *wootAsync) clientGenDel(i int, pos int) (any, error) {
-	return a.clients[i].GenerateDel(pos)
-}
-
-func (a *wootAsync) clientRecv(i int, msg any) error {
-	eff, ok := msg.(woot.Effect)
-	if !ok {
-		return fmt.Errorf("woot async: unexpected message %T", msg)
-	}
-	return a.clients[i].Integrate(eff)
-}
-
-func (a *wootAsync) clientDocLen(i int) int { return len(a.clients[i].Document()) }
-
-func (a *wootAsync) expectedClientMsgs(own, total int) int { return total - own }
-
-func (a *wootAsync) serverRecv(from int, msg any) ([]delivery, error) {
-	eff, ok := msg.(woot.Effect)
-	if !ok {
-		return nil, fmt.Errorf("woot async: unexpected message %T", msg)
-	}
-	outs, err := a.server.Receive(a.ids[from], eff)
-	if err != nil {
-		return nil, err
-	}
-	ds := make([]delivery, len(outs))
-	for k, o := range outs {
-		ds[k] = delivery{to: int(o.To) - 1, msg: o.Effect}
-	}
-	return ds, nil
-}
-
-func (a *wootAsync) result(hist *core.History) *AsyncResult {
-	res := &AsyncResult{Docs: make(map[string][]list.Elem, len(a.clients)+1), History: hist}
-	res.Docs[opid.ServerName] = a.server.Document()
-	res.Stats = append(res.Stats, SpaceStat{Replica: opid.ServerName, Name: "woot", States: a.server.TotalNodes()})
-	for k, c := range a.clients {
-		res.Docs[a.ids[k].String()] = c.Document()
-		res.Stats = append(res.Stats, SpaceStat{Replica: a.ids[k].String(), Name: "woot", States: c.TotalNodes()})
+	for i := 0; i < n; i++ {
+		res.Docs[opid.ClientID(i+1).String()] = ad.doc(i)
 	}
 	return res
 }

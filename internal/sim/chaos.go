@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"jupiter/internal/core"
 	"jupiter/internal/faultnet"
 	"jupiter/internal/list"
 	"jupiter/internal/opid"
@@ -93,36 +92,18 @@ type chaosClient struct {
 // supported: they are the session-oriented protocols whose FIFO-exactly-once
 // assumption the session layer restores.
 func runChaos(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
-	if cfg.Clients < 1 || cfg.OpsPerClient < 0 {
-		return nil, fmt.Errorf("sim: bad async config %+v", cfg)
+	ad, hist, err := newRun(p, cfg)
+	if err != nil {
+		return nil, err
 	}
 	fc := *cfg.Faults
 	if err := fc.Validate(); err != nil {
 		return nil, err
 	}
-	ids := make([]opid.ClientID, cfg.Clients)
-	for i := range ids {
-		ids[i] = opid.ClientID(i + 1)
-	}
-	var hist *core.History
-	var rec core.Recorder
-	if cfg.Record {
-		hist = &core.History{}
-		if cfg.Initial != nil {
-			hist.Seed = cfg.Initial.Elems()
-		}
-		rec = &core.LockedRecorder{R: hist}
-	}
-	var ad asyncAdapter
-	switch p {
-	case CSS:
-		ad = newCSSAsync(ids, cfg.Initial, rec)
-	case CSCW:
-		ad = newCSCWAsync(ids, cfg.Initial, rec)
-	default:
+	crasher, ok := ad.(chaosCrashable)
+	if !ok {
 		return nil, fmt.Errorf("sim: chaos runtime supports css and cscw, not %q", p)
 	}
-	crasher, _ := ad.(chaosCrashable)
 	rejoiner, _ := ad.(chaosRejoinable)
 	for _, cr := range fc.Crashes {
 		if cr.Client < 0 || cr.Client >= cfg.Clients {
@@ -130,9 +111,6 @@ func runChaos(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
 		}
 		if cr.LostState && rejoiner == nil {
 			return nil, fmt.Errorf("sim: protocol %q does not support lost-state rejoin", p)
-		}
-		if crasher == nil {
-			return nil, fmt.Errorf("sim: protocol %q does not support crash/recovery", p)
 		}
 	}
 
@@ -149,8 +127,8 @@ func runChaos(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
 			alive: true,
 		}
 	}
-	for i := range ids {
-		cl := connect(ids[i].String())
+	for _, id := range clientIDs(cfg.Clients) {
+		cl := connect(id.String())
 		cl.quota = cfg.OpsPerClient
 		clients = append(clients, cl)
 	}
@@ -291,15 +269,15 @@ func runChaos(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
 			if !cl.alive || cl.gen >= cl.quota || r.Float64() >= chaosGenProb {
 				continue
 			}
-			docLen := ad.clientDocLen(i)
+			docLen := len(ad.doc(i))
 			var msg any
 			var err error
 			if docLen > 0 && r.Float64() < cfg.DeleteRatio {
-				msg, err = ad.clientGenDel(i, r.Intn(docLen))
+				msg, err = ad.genDel(i, r.Intn(docLen))
 			} else {
 				val := alphabet[valCounter%len(alphabet)]
 				valCounter++
-				msg, err = ad.clientGenIns(i, val, r.Intn(docLen+1))
+				msg, err = ad.genIns(i, val, r.Intn(docLen+1))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("sim: chaos (seed %d, tick %d): client %d: %w", cfg.Seed, now, i+1, err)
@@ -371,7 +349,7 @@ func runChaos(p Protocol, cfg AsyncConfig) (*AsyncResult, error) {
 		return nil, fmt.Errorf("sim: chaos run (seed %d) did not quiesce within %d ticks — fault schedule starves delivery", cfg.Seed, maxTicks)
 	}
 
-	res := ad.result(hist)
+	res := result(ad, len(clients), hist)
 	netStats := net.Stats()
 	res.Net = &netStats
 	res.Ticks = now

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jupiter/internal/core"
+	"jupiter/internal/faultnet"
 	"jupiter/internal/list"
 	"jupiter/internal/opid"
 	"jupiter/internal/sim"
@@ -329,7 +330,9 @@ func TestAppendProfileShape(t *testing.T) {
 }
 
 // TestStatsShapes: every protocol reports the metadata structures the E1
-// experiment expects (2n for cscw, n+1 for the others, none for broken).
+// experiment expects (2n for cscw, n+1 for the others, none for broken), and
+// the goroutine and chaos runtimes report the same replicas and names, every
+// structure that holds a state priced in bytes.
 func TestStatsShapes(t *testing.T) {
 	wantStats := map[sim.Protocol]int{
 		sim.CSS:     4, // server + 3 clients
@@ -339,6 +342,21 @@ func TestStatsShapes(t *testing.T) {
 		sim.TreeDoc: 4,
 		sim.WOOT:    4,
 		sim.Broken:  0,
+	}
+	sameShape := func(p sim.Protocol, runtime string, got, want []sim.SpaceStat) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Errorf("%s %s: %d stats, the cluster reports %d", p, runtime, len(got), len(want))
+			return
+		}
+		for k, s := range got {
+			if s.Replica != want[k].Replica || s.Name != want[k].Name {
+				t.Errorf("%s %s: stat %d is %s/%s, the cluster's is %s/%s", p, runtime, k, s.Replica, s.Name, want[k].Replica, want[k].Name)
+			}
+			if s.States > 0 && s.Bytes <= 0 {
+				t.Errorf("%s %s: %s/%s holds %d states priced at %d bytes", p, runtime, s.Replica, s.Name, s.States, s.Bytes)
+			}
+		}
 	}
 	for p, want := range wantStats {
 		cl, err := sim.NewCluster(p, sim.Config{Clients: 3})
@@ -353,9 +371,11 @@ func TestStatsShapes(t *testing.T) {
 		if err := sim.Quiesce(cl); err != nil && p != sim.Broken {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if got := len(cl.Stats()); got != want {
+		stats := cl.Stats()
+		if got := len(stats); got != want {
 			t.Errorf("%s: %d stats, want %d", p, got, want)
 		}
+		sameShape(p, "cluster", stats, stats)
 		// Queue-length accessors report empty after quiescence.
 		for c := opid.ClientID(1); c <= 3; c++ {
 			if cl.PendingToServer(c) != 0 || cl.PendingToClient(c) != 0 {
@@ -363,6 +383,24 @@ func TestStatsShapes(t *testing.T) {
 			}
 		}
 		cl.ReadServer() // must not panic for any protocol (broken returns nil)
+
+		if p == sim.Broken {
+			continue // the goroutine runtime refuses the relay
+		}
+		cfg := sim.AsyncConfig{Clients: 3, OpsPerClient: 1}
+		res, err := sim.RunAsync(p, cfg)
+		if err != nil {
+			t.Fatalf("%s async: %v", p, err)
+		}
+		sameShape(p, "async", res.Stats, stats)
+		if p != sim.CSS && p != sim.CSCW {
+			continue // the chaos runtime takes the session protocols only
+		}
+		cfg.Faults = &faultnet.Config{Seed: 1, Drop: 0.2, Dup: 0.1}
+		if res, err = sim.RunAsync(p, cfg); err != nil {
+			t.Fatalf("%s chaos: %v", p, err)
+		}
+		sameShape(p, "chaos", res.Stats, stats)
 	}
 }
 

@@ -372,3 +372,96 @@ func TestHandBuiltVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// refConvergence is the straightforward form of CheckConvergence: reads
+// keyed by the canonical string of their whole visible set (opid.Set.Key).
+func refConvergence(h *core.History) error {
+	byVisible := make(map[string]core.Event)
+	for _, e := range h.Events {
+		if !e.IsRead() {
+			continue
+		}
+		key := e.Visible.Key()
+		prev, seen := byVisible[key]
+		if !seen {
+			byVisible[key] = e
+			continue
+		}
+		if !list.ElemsEqual(prev.Returned, e.Returned) {
+			return &spec.Violation{
+				Spec: spec.Convergence,
+				Reason: fmt.Sprintf("reads with identical visible updates returned %q and %q",
+					list.Render(prev.Returned), list.Render(e.Returned)),
+				Events: []core.Event{prev, e},
+			}
+		}
+	}
+	return nil
+}
+
+// TestConvergenceMatchesReference pins CheckConvergence to refConvergence,
+// reason and offending events alike, over seeded sim histories of every
+// protocol and over copies with one read's returned list altered: two
+// adjacent elements swapped in the final read (whose visible set every
+// replica's final read shares) or in a read picked at random.
+func TestConvergenceMatchesReference(t *testing.T) {
+	protocols := []sim.Protocol{sim.CSS, sim.CSCW, sim.RGA, sim.Logoot, sim.TreeDoc, sim.WOOT, sim.Broken}
+	histories, violations := 0, 0
+	check := func(name string, h *core.History) {
+		t.Helper()
+		got, want := spec.CheckConvergence(h), refConvergence(h)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: got %v, reference %v", name, got, want)
+		}
+		histories++
+		if got == nil {
+			return
+		}
+		violations++
+		gv, _ := spec.AsViolation(got)
+		wv, _ := spec.AsViolation(want)
+		if gv.Error() != wv.Error() {
+			t.Fatalf("%s: got %v, reference %v", name, got, want)
+		}
+	}
+	for _, p := range protocols {
+		for seed := int64(1); seed <= 8; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			clients, ops := 2+int(seed%3), 4+int(seed*7%13)
+			cl, err := sim.NewCluster(p, sim.Config{Clients: clients, Record: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.RunRandom(cl, sim.Workload{Seed: seed, OpsPerClient: ops, DeleteRatio: 0.3}, true); err != nil && p != sim.Broken {
+				t.Fatalf("%s seed %d: %v", p, seed, err)
+			}
+			name := fmt.Sprintf("%s/%dx%d/seed=%d", p, clients, ops, seed)
+			h := cl.History()
+			check(name, h)
+			var reads []int
+			for i, e := range h.Events {
+				if e.IsRead() && len(e.Returned) >= 2 {
+					reads = append(reads, i)
+				}
+			}
+			if len(reads) == 0 {
+				continue
+			}
+			m := &core.History{Events: append([]core.Event(nil), h.Events...), Seed: h.Seed}
+			e := &m.Events[reads[len(reads)-1]]
+			if seed%2 == 0 {
+				e = &m.Events[reads[r.Intn(len(reads))]]
+			}
+			w := append([]list.Elem(nil), e.Returned...)
+			k := r.Intn(len(w) - 1)
+			w[k], w[k+1] = w[k+1], w[k]
+			e.Returned = w
+			check(name+"/mutated", m)
+		}
+	}
+	// The sweep must exercise failing verdicts too, or it pins nothing.
+	if violations < histories/4 {
+		t.Fatalf("only %d violations over %d histories", violations, histories)
+	}
+	t.Logf("%d histories, %d violations", histories, violations)
+}

@@ -75,19 +75,25 @@ func AsViolation(err error) (*Violation, bool) {
 
 // CheckConvergence verifies Definition 3.1: for every pair of read events
 // whose visible update sets are equal, the returned lists must be equal.
+//
+// Reads are bucketed by the hash of their visible sets (opid.Set.Hash); a
+// bucket keeps the first read of each distinct set that hashed there, and
+// every hit is confirmed with Set.Equal, so a collision costs a comparison,
+// never a verdict. Each read costs O(V) for the hash and the comparison.
 func CheckConvergence(h *core.History) error {
-	byVisible := make(map[string]core.Event)
-	for _, e := range h.Events {
+	byVisible := make(map[uint64][]int) // hash → first read of each set
+	for i, e := range h.Events {
 		if !e.IsRead() {
 			continue
 		}
-		key := e.Visible.Key()
-		prev, seen := byVisible[key]
-		if !seen {
-			byVisible[key] = e
+		hash := e.Visible.Hash()
+		bucket := byVisible[hash]
+		k := slices.IndexFunc(bucket, func(j int) bool { return h.Events[j].Visible.Equal(e.Visible) })
+		if k < 0 {
+			byVisible[hash] = append(bucket, i)
 			continue
 		}
-		if !list.ElemsEqual(prev.Returned, e.Returned) {
+		if prev := h.Events[bucket[k]]; !list.ElemsEqual(prev.Returned, e.Returned) {
 			return &Violation{
 				Spec: Convergence,
 				Reason: fmt.Sprintf("reads with identical visible updates returned %q and %q",

@@ -178,6 +178,10 @@ const (
 	CodeShutdown    = "shutdown"
 	CodeProtocol    = "protocol"
 	CodeBackpressed = "backpressure"
+	// CodeOpGap cuts a session whose operations skipped a sequence number:
+	// the transport lost a frame, and a resume replays it. Every other
+	// CodeProtocol refusal ends the client's session for good.
+	CodeOpGap = "op-gap"
 	// CodeNotLeader rejects a client hello on a node that is not the
 	// cluster's serving leader; Error.Leader may carry the leader's address.
 	CodeNotLeader = "not-leader"
