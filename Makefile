@@ -35,9 +35,10 @@ bench:
 	$(GO) test -run xxx -bench=. -benchmem .
 
 # One iteration of every benchmark: proves they all still compile and run.
-# The checker benchmarks live beside the checkers, in internal/spec.
+# The checker benchmarks live beside the checkers, in internal/spec; the
+# join and ladder benchmarks in internal/css and internal/statespace.
 bench-smoke:
-	$(GO) test -run NONE -bench . -benchtime=1x . ./internal/spec
+	$(GO) test -run NONE -bench . -benchtime=1x . ./internal/spec ./internal/css ./internal/statespace
 
 # Compare two `go test -bench` output files (OLD=..., NEW=...) and fail on
 # regressions past THRESHOLD (ratio) on METRIC. Example:

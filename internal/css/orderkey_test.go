@@ -93,8 +93,8 @@ func checkOrderKeys(r *logRig, reload bool) error {
 // edgeKeys checks every edge of sp (each state is reachable from the root):
 // PendingKey for an operation in pending, its key in want otherwise.
 func edgeKeys(sp *statespace.Space, want map[opid.OpID]statespace.OrderKey, pending map[opid.OpID]bool) error {
-	seen := map[*statespace.State]bool{sp.Initial(): true}
-	for queue := []*statespace.State{sp.Initial()}; len(queue) > 0; queue = queue[1:] {
+	seen := map[statespace.State]bool{sp.Initial(): true}
+	for queue := []statespace.State{sp.Initial()}; len(queue) > 0; queue = queue[1:] {
 		st := queue[0]
 		for i := 0; i < st.EdgeCount(); i++ {
 			e := st.EdgeAt(i)

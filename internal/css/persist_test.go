@@ -266,6 +266,37 @@ func TestRestoreServerRejectsCorruptState(t *testing.T) {
 	}
 }
 
+// TestRestoredClientMatchesLive: a client restored from its own Save holds
+// the live client's space — the same structure (Fingerprint) and, because a
+// restored state is a chain link as a live one is, the same size (ByteSize
+// within 1 %) — here after 2 × 60 concurrent operations and with two of
+// its own still unacknowledged.
+func TestRestoredClientMatchesLive(t *testing.T) {
+	_, clients := preloadJoin(t, 3, 60, 8)
+	live := clients[0]
+	for i := 0; i < 2; i++ {
+		if _, err := live.GenerateIns('p', 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := live.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := css.RestoreClient(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ByteSize first: Fingerprint memoizes every state's key.
+	lb, rb := live.Space().ByteSize(), restored.Space().ByteSize()
+	if d := float64(rb-lb) / float64(lb); d < -0.01 || d > 0.01 {
+		t.Errorf("restored space is %d B, the live one %d B (%+.1f %%), want within 1 %%", rb, lb, 100*d)
+	}
+	if restored.Space().Fingerprint() != live.Space().Fingerprint() {
+		t.Fatal("restored space differs from the live one")
+	}
+}
+
 // TestSpaceJSONRoundTrip round-trips a state-space with pending keys and
 // checks renders and order keys survive.
 func TestSpaceJSONRoundTrip(t *testing.T) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"unsafe"
 
 	"jupiter/internal/broken"
 	"jupiter/internal/core"
@@ -278,11 +277,9 @@ func (a *cscwAdapter) acks() bool                     { return true }
 
 func (a *cscwAdapter) stats() []SpaceStat {
 	// A 2D state-space is priced as Space.ByteSize prices the n-ary one's
-	// states and edges: the structs, plus an edge-slice and a parent-slice
-	// slot per edge.
+	// states and edges: one flat record each.
 	stat := func(replica string, d cscw.DSS) SpaceStat {
-		bytes := d.States*int(unsafe.Sizeof(statespace.State{})) +
-			d.Edges*int(unsafe.Sizeof(statespace.Edge{})+2*unsafe.Sizeof(uintptr(0)))
+		bytes := d.States*statespace.StateBytes + d.Edges*statespace.EdgeBytes
 		return SpaceStat{Replica: replica, Name: d.Name, States: d.States, Edges: d.Edges, Bytes: bytes}
 	}
 	out := make([]SpaceStat, 0, 2*len(a.clients))

@@ -1,26 +1,29 @@
 package statespace
 
 import (
+	"encoding/json"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"jupiter/internal/opid"
 	"jupiter/internal/ot"
 )
 
-// TestStateFitsOneSizeClass: a state holds only what Algorithm 1 reads, so it
-// fits the allocator's 128-byte class; tags, keys and documents sit behind
-// one pointer.
-func TestStateFitsOneSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(State{}); n > 128 {
-		t.Fatalf("unsafe.Sizeof(State{}) = %d, want at most 128", n)
+// TestRecordSizes: a state and a transition are flat, pointer-free records
+// of at most 48 and 32 bytes; everything else a state may have (a base set,
+// a tag, a key, a document) sits in a side table.
+func TestRecordSizes(t *testing.T) {
+	if StateBytes > 48 {
+		t.Errorf("a state record is %d B, want at most 48", StateBytes)
+	}
+	if EdgeBytes > 32 {
+		t.Errorf("an edge record is %d B, want at most 32", EdgeBytes)
 	}
 }
 
-// TestLadderRungAllocation: a rung of Algorithm 1's ladder allocates a state,
-// its two edges and their slice slots, and nothing per rung in a hash index.
-// One integration across a 256-operation chain builds 256 rungs.
+// TestLadderRungAllocation: a rung of Algorithm 1's ladder allocates a state
+// record and two edge records, plus its share of chunk and intern-index
+// growth. One integration across a 256-operation chain builds 256 rungs.
 func TestLadderRungAllocation(t *testing.T) {
 	const rungs = 256
 	s := New(nil)
@@ -42,9 +45,37 @@ func TestLadderRungAllocation(t *testing.T) {
 	per := float64(after.TotalAlloc-before.TotalAlloc) / rungs
 	objs := float64(after.Mallocs-before.Mallocs) / rungs
 	t.Logf("%.0f B and %.1f objects per rung", per, objs)
-	if per > 560 {
-		t.Errorf("a ladder rung allocates %.0f B, want at most 560", per)
+	if per > 160 {
+		t.Errorf("a ladder rung allocates %.0f B, want at most 160", per)
 	}
+}
+
+// BenchmarkLadder integrates one operation across a 256-operation chain —
+// 256 ladder rungs — and reports the time and allocation per rung.
+func BenchmarkLadder(b *testing.B) {
+	const rungs = 256
+	var before, after runtime.MemStats
+	var total uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := New(nil)
+		for k := 1; k <= rungs; k++ {
+			if _, err := s.IntegrateAt(ot.Ins('a', 0, id(1, uint64(k))), s.Final(), OrderKey(k)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		if _, err := s.IntegrateAt(ot.Ins('b', 0, id(2, 1)), s.Initial(), rungs+1); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rungs), "ns/rung")
+	b.ReportMetric(float64(total)/float64(b.N*rungs), "B/rung")
 }
 
 // TestBuilderRefusesDisagreeingKey: all edges of an operation share its order
@@ -91,7 +122,7 @@ func TestPersistSharesKeyCells(t *testing.T) {
 	}
 	n := 0
 	for _, st := range back.States() {
-		for _, e := range st.edges {
+		for _, e := range st.Edges() {
 			if e.Op.ID == own.ID {
 				n++
 				if e.OrderKey() != 2 {
@@ -113,16 +144,16 @@ func TestPersistSharesKeyCells(t *testing.T) {
 // rekeyOneEdge rewrites the key of one edge of op in a marshalled space.
 func rekeyOneEdge(t *testing.T, data []byte, op opid.OpID) []byte {
 	t.Helper()
-	s := New(nil)
-	if err := s.UnmarshalJSON(data); err != nil {
+	var in spaceJSON
+	if err := json.Unmarshal(data, &in); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range s.States() {
-		for _, e := range st.edges {
-			if e.Op.ID == op {
-				k := OrderKey(7)
-				e.key = &k
-				out, err := s.MarshalJSON()
+	for key, st := range in.States {
+		for i, e := range st.Edges {
+			if idOf(e.Op.ID) == op {
+				st.Edges[i].Key = 7
+				in.States[key] = st
+				out, err := json.Marshal(in)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -25,12 +25,14 @@ import (
 //     needed as a matching state or appear on a leftmost transformation
 //     path again (all such states contain the matching state's set).
 //
-// States whose operation sets do not contain the frontier are dropped.
-// Survivors' creation-parent (and lazy-document) chains may pass through
-// dropped states; any link that crosses out of the kept set is cut, with the
-// operation set (and, under WithDocs, the document) materialized at the cut —
-// dropped State objects then become garbage-collectible. Links between
-// survivors stay lazy.
+// States whose operation sets do not contain the frontier are dropped. The
+// survivors are copied into fresh storage in their old order and renumbered,
+// so every State from before the call is stale. A survivor whose creation
+// parent was dropped is re-chained through an incoming transition from a
+// survivor one operation smaller; only a state with none — in a CSS space,
+// the new root alone — gets its operation set materialized. Under WithDocs
+// a lazy document link that crosses out of the kept set is cut the same
+// way, by materializing the document.
 func (s *Space) CompactTo(frontier opid.Set) error {
 	root, ok := s.lookup(frontier, "")
 	if !ok {
@@ -46,135 +48,186 @@ func (s *Space) CompactTo(frontier opid.Set) error {
 	// per-state set materialization, which would be O(states × history) in the
 	// common compaction (a long-lived document whose space is nearly one
 	// chain, with most states below or just above the frontier).
-	fl := len(frontier)
-	notInF := make(map[*State]int, s.numStates)
-	var path []*State
-	countNotIn := func(st *State) int {
+	n := s.states.n
+	fl := int32(len(frontier))
+	notIn := make([]int32, n)
+	for i := range notIn {
+		notIn[i] = none
+	}
+	var path []int32
+	countNotIn := func(i int32) int32 {
 		path = path[:0]
-		cur, n := st, 0
-		for {
-			if v, ok := notInF[cur]; ok {
-				n = v
+		var c int32
+		for cur := i; ; {
+			if v := notIn[cur]; v != none {
+				c = v
 				break
 			}
-			if cur.base != nil {
-				for id := range cur.base {
+			r := s.states.at(cur)
+			if r.parent == none {
+				for id := range s.base[cur] {
 					if !frontier.Contains(id) {
-						n++
+						c++
 					}
 				}
-				notInF[cur] = n
+				notIn[cur] = c
 				break
 			}
 			path = append(path, cur)
-			cur = cur.parent
+			cur = r.parent
 		}
-		for i := len(path) - 1; i >= 0; i-- {
-			c := path[i]
-			if !frontier.Contains(c.added) {
-				n++
+		for k := len(path) - 1; k >= 0; k-- {
+			if !frontier.Contains(s.states.at(path[k]).added) {
+				c++
 			}
-			notInF[c] = n
+			notIn[path[k]] = c
 		}
-		return n
+		return c
 	}
-
-	kept := make(map[*State]struct{}, s.numStates)
-	for _, st := range s.byID {
-		if st == nil {
-			continue
-		}
+	keep := make([]int32, n) // old index → new index, or none
+	var kept int32
+	for i := int32(0); i < n; i++ {
+		d := s.states.at(i).depth
 		// A state smaller than the frontier cannot contain it.
-		if st.depth < fl {
+		if d >= fl && countNotIn(i) == d-fl {
+			keep[i] = kept
+			kept++
+		} else {
+			keep[i] = none
+		}
+	}
+	if keep[s.final] == none {
+		return fmt.Errorf("statespace: compaction would remove the final state %s", s.handle(s.final))
+	}
+
+	t := &Space{
+		opIdx:      make(map[opid.OpID]int32),
+		base:       make(map[int32]opid.Set),
+		initial:    keep[root],
+		final:      keep[s.final],
+		gen:        s.gen + 1,
+		pathBuf:    s.pathBuf[:0],
+		recordDocs: s.recordDocs,
+		verifyCP1:  s.verifyCP1,
+		relaxed:    s.relaxed,
+		audit:      s.audit,
+		auditLog:   s.auditLog,
+	}
+	// Operation entries are retained only for operations still labeling
+	// transitions, or still pending (a pending operation's promote
+	// must continue to work even if compaction raced ahead of the
+	// acknowledgement).
+	opMap := make([]int32, s.ops.n)
+	for i := range opMap {
+		opMap[i] = none
+	}
+	mapOp := func(oi int32) int32 {
+		if opMap[oi] == none {
+			r := *s.ops.at(oi)
+			opMap[oi] = t.ops.push(r)
+			if _, ok := t.opIdx[r.op.ID]; !ok {
+				t.opIdx[r.op.ID] = opMap[oi]
+			}
+		}
+		return opMap[oi]
+	}
+	for _, oi := range s.opIdx {
+		if s.ops.at(oi).key == PendingKey {
+			mapOp(oi)
+		}
+	}
+
+	for i := int32(0); i < n; i++ {
+		if keep[i] == none {
 			continue
 		}
-		if countNotIn(st) == st.depth-fl {
-			kept[st] = struct{}{}
+		r := s.states.at(i)
+		nr := stateRec{hash: r.hash, depth: r.depth, parent: none, out: none, in: none}
+		if r.parent != none && keep[r.parent] != none {
+			nr.parent, nr.added = keep[r.parent], r.added
+		} else if p, e, ok := s.rechain(i, keep); ok {
+			nr.parent, nr.added = keep[p], s.opID(s.edges.at(e).op())
+		} else {
+			t.base[keep[i]] = s.opsOf(i)
+		}
+		t.states.push(nr)
+		if tag := s.tags[i]; tag != "" {
+			if t.tags == nil {
+				t.tags = make(map[int32]string)
+			}
+			t.tags[keep[i]] = tag
+		}
+		if k, ok := s.keys[i]; ok {
+			if t.keys == nil {
+				t.keys = make(map[int32]string)
+			}
+			t.keys[keep[i]] = k
+		}
+		if s.recordDocs {
+			d := s.docs[i]
+			if d.parent != none && keep[d.parent] == none {
+				d = docRec{doc: s.doc(i), parent: none}
+			} else if d.parent != none {
+				d.parent = keep[d.parent]
+			}
+			t.docs = append(t.docs, d)
 		}
 	}
 
-	// Drop edges that cross out of the kept set. Order keys are retained
-	// only for operations still labeling edges or still pending (a pending
-	// operation's promote must continue to work even if compaction raced
-	// ahead of the acknowledgement).
-	orderOf := make(map[opid.OpID]*OrderKey)
-	numEdges := 0
-	for st := range kept {
-		edges := st.edges[:0]
-		for _, e := range st.edges {
-			if _, ok := kept[e.To]; ok {
-				edges = append(edges, e)
-				orderOf[e.Op.ID] = e.key
-				numEdges++
-			}
+	// Copy the transitions between survivors, each sibling list in order.
+	for i := int32(0); i < n; i++ {
+		if keep[i] == none {
+			continue
 		}
-		st.edges = edges
-		parents := st.parents[:0]
-		for _, e := range st.parents {
-			if _, ok := kept[e.From]; ok {
-				parents = append(parents, e)
+		last := none
+		for e := s.states.at(i).out; e != none; e = s.edges.at(e).sib {
+			r := s.edges.at(e)
+			if keep[r.to] == none {
+				continue
 			}
-		}
-		st.parents = parents
-	}
-	// The new root keeps no parents: everything before the frontier is gone.
-	root.parents = nil
-
-	// Detach survivors from dropped chain states. Only a survivor whose
-	// creation parent was dropped needs anchoring at a materialized base —
-	// chains that stay within the kept set remain valid (they terminate, by
-	// induction, at an anchored state) and keep their O(1) representation.
-	// Likewise a lazy document link is cut only when it crosses out of the
-	// kept set.
-	for st := range kept {
-		if st.base == nil {
-			if _, ok := kept[st.parent]; !ok {
-				ops := st.Ops()
-				st.base = ops
-				st.parent = nil
-				st.added = opid.OpID{}
-			}
-		}
-		if x := st.x; x != nil && x.docParent != nil {
-			if _, ok := kept[x.docParent]; !ok {
-				if s.recordDocs {
-					st.Doc()
+			ref := uint32(mapOp(r.op()))<<kindBits | uint32(r.kind())
+			ne := t.edges.push(edgeRec{ref: ref, pos: r.pos, from: keep[i], to: keep[r.to], sib: none, par: none})
+			if r.kind() == oddKind {
+				if t.odd == nil {
+					t.odd = make(map[int32]ot.Op)
 				}
-				x.docParent = nil
-				x.docOp = ot.Op{}
+				t.odd[ne] = s.odd[e]
 			}
+			if last == none {
+				t.states.at(keep[i]).out = ne
+			} else {
+				t.edges.at(last).sib = ne
+			}
+			last = ne
+			to := t.states.at(keep[r.to])
+			t.edges.at(ne).par, to.in = to.in, ne
 		}
 	}
-	for id, cell := range s.orderOf {
-		if *cell == PendingKey {
-			orderOf[id] = cell
-		}
-	}
-
-	// Rebuild the dense and intern indexes over the survivors; StateIDs are
-	// stable across compaction (holes stay nil).
-	byHash := make(map[uint64]*State, len(kept))
-	for i, st := range s.byID {
-		if st == nil {
-			continue
-		}
-		if _, ok := kept[st]; !ok {
-			s.byID[i] = nil
-			continue
-		}
-		h := st.hash ^ tagHash(st.tag())
-		st.collide = byHash[h]
-		byHash[h] = st
-	}
-	s.byHash = byHash
-	s.numStates = len(kept)
-	s.initial = root
-	s.orderOf = orderOf
-	s.numEdges = numEdges
-	if _, ok := kept[s.final]; !ok {
-		return fmt.Errorf("statespace: compaction removed the final state %s", s.final)
-	}
+	t.rehash(bucketsFor(int(kept)))
+	*s = *t
 	return nil
+}
+
+// rechain finds an incoming transition of state i from a kept state exactly
+// one operation smaller — a creation parent for i in the compacted space.
+func (s *Space) rechain(i int32, keep []int32) (from, edge int32, ok bool) {
+	r := s.states.at(i)
+	var ops opid.Set
+	for e := r.in; e != none; e = s.edges.at(e).par {
+		er := s.edges.at(e)
+		f := s.states.at(er.from)
+		id := s.opID(er.op())
+		if keep[er.from] == none || f.depth != r.depth-1 || f.hash^id.Hash() != r.hash {
+			continue
+		}
+		if ops == nil {
+			ops = s.opsOf(i)
+		}
+		if ops.Contains(id) && !s.contains(er.from, id) && s.subsetOf(er.from, ops) {
+			return er.from, e, true
+		}
+	}
+	return none, none, false
 }
 
 // Contains reports whether the space still holds a state for the given

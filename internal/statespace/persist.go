@@ -119,88 +119,96 @@ func opFromJSON(j opJSON) (ot.Op, error) {
 // MarshalJSON implements json.Marshaler. The canonical operation-set keys
 // and sorted sets are computed from the interned representation here — the
 // on-disk format is identical to what the pre-interning encoder produced.
+// Keys computed here are not memoized: saving a space does not grow it.
 func (s *Space) MarshalJSON() ([]byte, error) {
+	keys := make([]string, s.states.n)
+	sets := make([][]opid.OpID, s.states.n)
+	for i := range keys {
+		ops := s.opsOf(int32(i))
+		sets[i] = ops.Sorted()
+		keys[i] = ops.Key()
+		if t := s.tag(int32(i)); t != "" {
+			keys[i] += "#" + t
+		}
+	}
 	out := spaceJSON{
-		States:  make(map[string]stateJSON, s.numStates),
-		Initial: s.initial.Key(),
-		Final:   s.final.Key(),
+		States:  make(map[string]stateJSON, len(keys)),
+		Initial: keys[s.initial],
+		Final:   keys[s.final],
 		Orders:  make(map[string]uint64),
 	}
 	edged := make(map[opid.OpID]bool)
-	for _, st := range s.byID {
-		if st == nil {
-			continue
-		}
-		sj := stateJSON{Ops: make([]compJSON, 0, st.depth), Edges: make([]edgeJSON, 0, len(st.edges))}
-		for _, id := range st.Ops().Sorted() {
+	for i, key := range keys {
+		sj := stateJSON{Ops: make([]compJSON, 0, len(sets[i])), Edges: []edgeJSON{}}
+		for _, id := range sets[i] {
 			sj.Ops = append(sj.Ops, compOf(id))
 		}
-		for _, e := range st.edges {
-			sj.Edges = append(sj.Edges, edgeJSON{Op: opToJSON(e.Op), To: e.To.Key(), Key: uint64(*e.key)})
-			edged[e.Op.ID] = true
+		for e := s.states.at(int32(i)).out; e != none; e = s.edges.at(e).sib {
+			r := s.edges.at(e)
+			op := s.label(e)
+			sj.Edges = append(sj.Edges, edgeJSON{Op: opToJSON(op), To: keys[r.to], Key: uint64(s.ops.at(r.op()).key)})
+			edged[op.ID] = true
 		}
-		out.States[st.Key()] = sj
+		out.States[key] = sj
 	}
-	for id, cell := range s.orderOf {
+	for id, oi := range s.opIdx {
 		if !edged[id] {
-			out.Orders[id.String()] = uint64(*cell)
+			out.Orders[id.String()] = uint64(s.ops.at(oi).key)
 		}
 	}
 	return json.Marshal(out)
 }
 
 // UnmarshalJSON implements json.Unmarshaler. The receiver must be a fresh
-// Space (e.g. from New); its contents are replaced.
+// Space (e.g. from New); its contents are replaced. Each restored state is
+// rebuilt as a chain link — its parent and added operation read off one
+// incoming edge whose source is exactly one operation smaller — so only
+// the initial state (and any state without such an edge) materializes its
+// operation set.
 func (s *Space) UnmarshalJSON(data []byte) error {
 	var in spaceJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("statespace: %w", err)
 	}
-	// Restored states anchor at their materialized base sets; StateIDs are
-	// assigned in canonical key order so a reload is fully deterministic.
+	// State indexes are assigned in canonical key order so a reload is
+	// fully deterministic.
 	keys := make([]string, 0, len(in.States))
 	for key := range in.States {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-
-	s.byHash = make(map[uint64]*State, len(keys))
-	s.byID = make([]*State, 0, len(keys))
-	s.numStates = 0
-	s.orderOf = make(map[opid.OpID]*OrderKey)
-	s.numEdges = 0
-	s.recordDocs = false
-	s.verifyCP1 = false
-
-	states := make(map[string]*State, len(keys))
-	for _, key := range keys {
-		sj := in.States[key]
+	index := make(map[string]int32, len(keys))
+	sets := make([]opid.Set, len(keys))
+	for i, key := range keys {
 		ops := opid.NewSet()
-		for _, c := range sj.Ops {
+		for _, c := range in.States[key].Ops {
 			ops.Put(idOf(c))
 		}
 		if ops.Key() != key {
 			return fmt.Errorf("statespace: state key %q does not match its ops %s", key, ops)
 		}
-		st := &State{base: ops, hash: ops.Hash(), depth: len(ops), x: &stateExtra{key: key}}
-		s.intern(st)
-		states[key] = st
+		index[key] = int32(i)
+		sets[i] = ops
 	}
-	init, ok := states[in.Initial]
+	init, ok := index[in.Initial]
 	if !ok {
 		return fmt.Errorf("statespace: missing initial state %q", in.Initial)
 	}
-	final, ok := states[in.Final]
+	final, ok := index[in.Final]
 	if !ok {
 		return fmt.Errorf("statespace: missing final state %q", in.Final)
 	}
-	s.initial = init
-	s.final = final
 
-	for key, sj := range in.States {
-		from := states[key]
-		for _, ej := range sj.Edges {
-			to, ok := states[ej.To]
+	// Decode every edge, in state order then sibling order.
+	type flatEdge struct {
+		from, to int32
+		op       ot.Op
+		key      OrderKey
+	}
+	var flat []flatEdge
+	for i, key := range keys {
+		for _, ej := range in.States[key].Edges {
+			to, ok := index[ej.To]
 			if !ok {
 				return fmt.Errorf("statespace: edge from %q to missing state %q", key, ej.To)
 			}
@@ -208,17 +216,54 @@ func (s *Space) UnmarshalJSON(data []byte) error {
 			if err != nil {
 				return err
 			}
-			cell, err := s.keyCell(op.ID, OrderKey(ej.Key))
-			if err != nil {
-				return err
-			}
-			// Edges were serialized in sibling order; appending preserves it
-			// (and linkEdge's sort.Search re-derives the same positions).
-			e := &Edge{Op: op, From: from, To: to, key: cell}
-			from.edges = append(from.edges, e)
-			to.parents = append(to.parents, e)
-			s.numEdges++
+			flat = append(flat, flatEdge{from: int32(i), to: to, op: op, key: OrderKey(ej.Key)})
 		}
+	}
+
+	t := &Space{opIdx: make(map[opid.OpID]int32), base: make(map[int32]opid.Set),
+		initial: init, final: final, gen: s.gen + 1, relaxed: s.relaxed, audit: s.audit, auditLog: s.auditLog}
+	// An operation's table entry holds one of its labels that is not a Nop,
+	// so that its other labels are that entry with another kind or position.
+	for _, fe := range flat {
+		if oi, ok := t.opIdx[fe.op.ID]; ok && t.ops.at(oi).op.Kind == ot.KindNop && fe.op.Kind != ot.KindNop {
+			t.ops.at(oi).op = fe.op
+		}
+		if _, err := t.opEntry(fe.op, fe.key); err != nil {
+			return err
+		}
+	}
+	recs := make([]stateRec, len(keys))
+	for i := range recs {
+		recs[i] = stateRec{hash: sets[i].Hash(), depth: int32(len(sets[i])), parent: none, out: none, in: none}
+	}
+	for _, fe := range flat {
+		r, from, to := &recs[fe.to], sets[fe.from], sets[fe.to]
+		if r.parent != none || fe.to == init || len(to) != len(from)+1 || !to.Contains(fe.op.ID) || !from.Subset(to) {
+			continue
+		}
+		r.parent, r.added = fe.from, fe.op.ID
+	}
+	for i, r := range recs {
+		t.states.push(r)
+		if r.parent == none {
+			t.base[int32(i)] = sets[i]
+		}
+	}
+	// Edges were serialized in sibling order; appending preserves it.
+	last := make([]int32, len(keys))
+	for i := range last {
+		last[i] = none
+	}
+	for _, fe := range flat {
+		e := t.newEdge(fe.from, fe.to, fe.op, t.opIdx[fe.op.ID])
+		if last[fe.from] == none {
+			t.states.at(fe.from).out = e
+		} else {
+			t.edges.at(last[fe.from]).sib = e
+		}
+		last[fe.from] = e
+		tr := t.states.at(fe.to)
+		t.edges.at(e).par, tr.in = tr.in, e
 	}
 	for idStr, key := range in.Orders {
 		var c int32
@@ -226,9 +271,11 @@ func (s *Space) UnmarshalJSON(data []byte) error {
 		if _, err := fmt.Sscanf(idStr, "c%d:%d", &c, &seq); err != nil {
 			return fmt.Errorf("statespace: bad order id %q: %w", idStr, err)
 		}
-		if _, err := s.keyCell(opid.OpID{Client: opid.ClientID(c), Seq: seq}, OrderKey(key)); err != nil {
+		if _, err := t.opEntry(ot.Op{ID: opid.OpID{Client: opid.ClientID(c), Seq: seq}}, OrderKey(key)); err != nil {
 			return err
 		}
 	}
+	t.rehash(bucketsFor(len(keys)))
+	*s = *t
 	return nil
 }

@@ -21,8 +21,8 @@ func (s *Space) Render() string {
 	var b strings.Builder
 	for _, st := range s.sortedStates() {
 		fmt.Fprintf(&b, "%s:", st)
-		for _, e := range st.edges {
-			fmt.Fprintf(&b, " [%s -> %s]", e.Op, e.To)
+		for e := s.states.at(st.i).out; e != none; e = s.edges.at(e).sib {
+			fmt.Fprintf(&b, " [%s -> %s]", s.label(e), s.handle(s.edges.at(e).to))
 		}
 		b.WriteByte('\n')
 	}
@@ -42,7 +42,7 @@ func (s *Space) Fingerprint() uint64 {
 func (s *Space) Dot() string {
 	var b strings.Builder
 	b.WriteString("digraph statespace {\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n")
-	label := func(st *State) string {
+	label := func(st State) string {
 		if d := st.Doc(); d != nil {
 			return fmt.Sprintf("%s\\n%q", st, d.String())
 		}
@@ -50,7 +50,7 @@ func (s *Space) Dot() string {
 	}
 	for _, st := range s.sortedStates() {
 		fmt.Fprintf(&b, "  %q [label=%q];\n", st.Key(), label(st))
-		for i, e := range st.edges {
+		for i, e := range st.Edges() {
 			fmt.Fprintf(&b, "  %q -> %q [label=%q, taillabel=\"%d\"];\n", st.Key(), e.To.Key(), e.Op.String(), i)
 		}
 	}
@@ -59,16 +59,17 @@ func (s *Space) Dot() string {
 }
 
 // ancestors returns every state from which st is reachable, including st.
-func (s *Space) ancestors(st *State) map[*State]struct{} {
-	seen := map[*State]struct{}{st: {}}
-	queue := []*State{st}
+func (s *Space) ancestors(st State) map[State]struct{} {
+	seen := map[State]struct{}{st: {}}
+	queue := []int32{st.i}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, p := range cur.parents {
-			if _, ok := seen[p.From]; !ok {
-				seen[p.From] = struct{}{}
-				queue = append(queue, p.From)
+		for e := s.states.at(cur).in; e != none; e = s.edges.at(e).par {
+			from := s.edges.at(e).from
+			if _, ok := seen[s.handle(from)]; !ok {
+				seen[s.handle(from)] = struct{}{}
+				queue = append(queue, from)
 			}
 		}
 	}
@@ -80,21 +81,21 @@ func (s *Space) ancestors(st *State) map[*State]struct{} {
 // ancestor. Lemma 8.4 proves uniqueness for CSS-built spaces; for hand-built
 // spaces (e.g. Figure 8) multiple lowest common ancestors may exist, in
 // which case ErrAmbiguousLCA is returned together with the candidates.
-func (s *Space) LCA(a, b *State) (*State, []*State, error) {
+func (s *Space) LCA(a, b State) (State, []State, error) {
 	ancA := s.ancestors(a)
 	ancB := s.ancestors(b)
-	var common []*State
+	var common []State
 	for st := range ancA {
 		if _, ok := ancB[st]; ok {
 			common = append(common, st)
 		}
 	}
 	if len(common) == 0 {
-		return nil, nil, fmt.Errorf("statespace: no common ancestor of %s and %s", a, b)
+		return State{}, nil, fmt.Errorf("statespace: no common ancestor of %s and %s", a, b)
 	}
 	// A common ancestor is lowest iff no other common ancestor is its strict
 	// descendant. Descendant(x, y) iff x ∈ ancestors(y).
-	var lowest []*State
+	var lowest []State
 	for _, c := range common {
 		anc := s.ancestors(c)
 		isLowest := true
@@ -118,31 +119,31 @@ func (s *Space) LCA(a, b *State) (*State, []*State, error) {
 	}
 	sort.Slice(lowest, func(i, j int) bool { return lowest[i].Key() < lowest[j].Key() })
 	if len(lowest) != 1 {
-		return nil, lowest, fmt.Errorf("%w: %s and %s have %d lowest common ancestors", ErrAmbiguousLCA, a, b, len(lowest))
+		return State{}, lowest, fmt.Errorf("%w: %s and %s have %d lowest common ancestors", ErrAmbiguousLCA, a, b, len(lowest))
 	}
 	return lowest[0], lowest, nil
 }
 
 // APath returns one path (its edges) from src to dst, or nil if dst is not
 // reachable from src.
-func (s *Space) APath(src, dst *State) []*Edge {
+func (s *Space) APath(src, dst State) []Edge {
 	if src == dst {
-		return []*Edge{}
+		return []Edge{}
 	}
 	type item struct {
-		st   *State
-		path []*Edge
+		st   State
+		path []Edge
 	}
-	seen := map[*State]struct{}{src: {}}
+	seen := map[State]struct{}{src: {}}
 	queue := []item{{st: src}}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, e := range cur.st.edges {
+		for _, e := range cur.st.Edges() {
 			if _, ok := seen[e.To]; ok {
 				continue
 			}
-			next := append(append([]*Edge{}, cur.path...), e)
+			next := append(append([]Edge{}, cur.path...), e)
 			if e.To == dst {
 				return next
 			}
@@ -154,7 +155,7 @@ func (s *Space) APath(src, dst *State) []*Edge {
 }
 
 // PathOps maps a path to the set of ORIGINAL operations along it.
-func PathOps(path []*Edge) opid.Set {
+func PathOps(path []Edge) opid.Set {
 	out := make(opid.Set, len(path))
 	for _, e := range path {
 		out[e.Op.ID] = struct{}{}
@@ -164,13 +165,13 @@ func PathOps(path []*Edge) opid.Set {
 
 // IsSimplePath reports whether the path repeats no original operation
 // (Lemma 6.3: every path in a CSS space is simple).
-func IsSimplePath(path []*Edge) bool {
+func IsSimplePath(path []Edge) bool {
 	return len(PathOps(path)) == len(path)
 }
 
 // DisjointPaths reports whether two paths share no original operation
 // (Lemma 8.5: paths from the unique LCA to the two states are disjoint).
-func DisjointPaths(p1, p2 []*Edge) bool {
+func DisjointPaths(p1, p2 []Edge) bool {
 	ops := PathOps(p1)
 	for _, e := range p2 {
 		if ops.Contains(e.Op.ID) {
@@ -182,7 +183,7 @@ func DisjointPaths(p1, p2 []*Edge) bool {
 
 // Compatible reports whether the documents of two states are compatible
 // (Definition 8.2). Requires WithDocs.
-func (s *Space) Compatible(a, b *State) (bool, error) {
+func (s *Space) Compatible(a, b State) (bool, error) {
 	da, db := a.Doc(), b.Doc()
 	if da == nil || db == nil {
 		return false, fmt.Errorf("statespace: Compatible requires WithDocs")
@@ -224,38 +225,52 @@ func (s *Space) CheckPairwiseCompatibility() error {
 //   - Lemma 8.4: every pair of states has a unique LCA (checked when
 //     checkLCA is true — quadratic, so optional).
 func (s *Space) CheckInvariants(n int, checkLCA bool) error {
-	for _, st := range s.byID {
-		if st == nil {
-			continue
-		}
+	incoming := 0
+	for i := int32(0); i < s.states.n; i++ {
+		st, r := s.handle(i), s.states.at(i)
 		ops := st.Ops()
-		if len(ops) != st.depth {
-			return fmt.Errorf("statespace: state %s depth %d disagrees with |ops| %d", st, st.depth, len(ops))
+		if len(ops) != int(r.depth) {
+			return fmt.Errorf("statespace: state %s depth %d disagrees with |ops| %d", st, r.depth, len(ops))
 		}
-		if ops.Hash() != st.hash {
+		if ops.Hash() != r.hash {
 			return fmt.Errorf("statespace: state %s interned hash disagrees with set hash", st)
 		}
-		if len(st.edges) > n {
-			return fmt.Errorf("statespace: state %s has %d children, n=%d (Lemma 6.1)", st, len(st.edges), n)
+		if got, ok := s.lookup(ops, s.tag(i)); !ok || got != i {
+			return fmt.Errorf("statespace: state %s does not resolve to itself", st)
 		}
-		for i, e := range st.edges {
-			want := ops.Add(e.Op.ID)
-			if !want.Equal(e.To.Ops()) {
-				return fmt.Errorf("statespace: edge %s leads to %s, want %s", e, e.To, want)
+		children := 0
+		for e, prev := r.out, none; e != none; prev, e = e, s.edges.at(e).sib {
+			ed := s.edge(e)
+			want := ops.Add(ed.Op.ID)
+			if !want.Equal(ed.To.Ops()) {
+				return fmt.Errorf("statespace: edge %s leads to %s, want %s", ed, ed.To, want)
 			}
-			if ops.Contains(e.Op.ID) {
-				return fmt.Errorf("statespace: edge %s repeats op already in source state", e)
+			if ops.Contains(ed.Op.ID) {
+				return fmt.Errorf("statespace: edge %s repeats op already in source state", ed)
 			}
-			if i > 0 && !edgeLess(st.edges[i-1], e) {
-				return fmt.Errorf("statespace: siblings out of order at %s: %s !< %s", st, st.edges[i-1].Op, e.Op)
+			if prev != none && !s.edgeLess(prev, e) {
+				return fmt.Errorf("statespace: siblings out of order at %s: %s !< %s", st, s.label(prev), ed.Op)
 			}
+			children++
+		}
+		if children > n {
+			return fmt.Errorf("statespace: state %s has %d children, n=%d (Lemma 6.1)", st, children, n)
+		}
+		for e := r.in; e != none; e = s.edges.at(e).par {
+			if s.edges.at(e).to != i {
+				return fmt.Errorf("statespace: state %s lists an incoming edge of another state", st)
+			}
+			incoming++
 		}
 	}
 	// Simple paths: since each edge adds exactly one op (checked above) and
 	// state sets grow along edges, all paths are automatically simple; we
-	// additionally verify reachability bookkeeping.
-	if int(s.final.id) >= len(s.byID) || s.byID[s.final.id] != s.final {
-		return fmt.Errorf("statespace: final state %s not registered", s.final)
+	// additionally verify the incoming lists and the final state.
+	if s.final < 0 || s.final >= s.states.n {
+		return fmt.Errorf("statespace: final state %d not registered", s.final)
+	}
+	if incoming != int(s.edges.n) {
+		return fmt.Errorf("statespace: %d incoming edges listed, %d edges", incoming, s.edges.n)
 	}
 	if checkLCA {
 		states := s.sortedStates()
@@ -271,45 +286,57 @@ func (s *Space) CheckInvariants(n int, checkLCA bool) error {
 }
 
 // sortedStates returns all states in canonical key order.
-func (s *Space) sortedStates() []*State {
-	states := make([]*State, 0, s.numStates)
-	for _, st := range s.byID {
-		if st != nil {
-			states = append(states, st)
-		}
+func (s *Space) sortedStates() []State {
+	states := make([]State, s.states.n)
+	for i := range states {
+		states[i] = s.handle(int32(i))
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].Key() < states[j].Key() })
 	return states
 }
 
 // States returns all states in canonical key order (copy).
-func (s *Space) States() []*State {
+func (s *Space) States() []State {
 	return s.sortedStates()
 }
 
-// ByteSize is the heap the space holds, in bytes: every state with its edge
-// and parent slices, materialized base set and side struct; every edge and
-// order-key cell; and the dense, intern and order-key indexes. Struct sizes
-// come from unsafe.Sizeof, and a hash-table entry counts 1.5× its key,
-// value and control byte (the mean load of Go's tables between growths).
-// The simulator's space statistics report it; TestByteSizeTracksHeap holds
-// it to the heap a CSS run measures.
+// Record sizes of the flat representation, in bytes.
+const (
+	StateBytes = int(unsafe.Sizeof(stateRec{}))
+	EdgeBytes  = int(unsafe.Sizeof(edgeRec{}))
+)
+
+// ByteSize is the heap the space holds, in bytes: the allocated state,
+// transition and operation-table chunks; the intern index and the
+// operation → entry table; the path scratch; and every side table (base
+// sets, odd labels, tags, memoized keys, documents). Record sizes come from
+// unsafe.Sizeof, and a hash-table entry counts 1.5× its key, value and
+// control byte (the mean load of Go's tables between growths). The
+// simulator's space statistics report it; TestByteSizeTracksHeap holds it
+// to the heap a CSS run measures.
 func (s *Space) ByteSize() int {
-	const ptr = int(unsafe.Sizeof(uintptr(0)))
+	const i32 = 4
 	mapEntry := func(kv int) int { return (kv + 1) * 3 / 2 }
 	opID := int(unsafe.Sizeof(opid.OpID{}))
-	total := cap(s.byID)*ptr + len(s.byHash)*mapEntry(8+ptr) + len(s.orderOf)*(mapEntry(opID+ptr)+8)
-	for _, st := range s.byID {
-		if st == nil {
-			continue
-		}
-		total += int(unsafe.Sizeof(*st)) + (cap(st.edges)+cap(st.parents))*ptr +
-			len(st.edges)*int(unsafe.Sizeof(Edge{})) + len(st.base)*mapEntry(opID)
-		if x := st.x; x != nil {
-			total += int(unsafe.Sizeof(*x)) + len(x.key)
-			if x.doc != nil {
-				total += x.doc.Len() * int(unsafe.Sizeof(list.Elem{}))
-			}
+	str := int(unsafe.Sizeof(""))
+	total := s.states.capacity()*StateBytes + s.edges.capacity()*EdgeBytes +
+		s.ops.capacity()*int(unsafe.Sizeof(opRec{})) +
+		(cap(s.states.c)+cap(s.edges.c)+cap(s.ops.c))*int(unsafe.Sizeof([]byte(nil))) +
+		(len(s.buckets)+cap(s.pathBuf))*i32 + len(s.opIdx)*mapEntry(opID+i32) +
+		len(s.odd)*mapEntry(i32+int(unsafe.Sizeof(ot.Op{})))
+	for _, set := range s.base {
+		total += mapEntry(i32+int(unsafe.Sizeof(set))) + len(set)*mapEntry(opID)
+	}
+	for _, t := range s.tags {
+		total += mapEntry(i32+str) + len(t)
+	}
+	for _, k := range s.keys {
+		total += mapEntry(i32+str) + len(k)
+	}
+	total += cap(s.docs) * int(unsafe.Sizeof(docRec{}))
+	for _, d := range s.docs {
+		if d.doc != nil {
+			total += d.doc.Len() * int(unsafe.Sizeof(list.Elem{}))
 		}
 	}
 	return total
@@ -361,7 +388,7 @@ func (b *Builder) EdgeTagged(from opid.Set, fromTag string, op ot.Op, key OrderK
 		b.err = fmt.Errorf("builder: unknown source state %s tag %q", from, fromTag)
 		return b
 	}
-	cell, err := s.keyCell(op.ID, key)
+	oi, err := s.opEntry(op, key)
 	if err != nil {
 		b.err = fmt.Errorf("builder: %w", err)
 		return b
@@ -369,27 +396,32 @@ func (b *Builder) EdgeTagged(from opid.Set, fromTag string, op ot.Op, key OrderK
 	destOps := from.Add(op.ID)
 	dst, exists := s.lookup(destOps, toTag)
 	if !exists {
-		d := src.Doc().Clone()
+		d := s.doc(src).Clone()
 		if err := ot.Apply(d, op); err != nil {
-			b.err = fmt.Errorf("builder: apply %s at %s: %w", op, src, err)
+			b.err = fmt.Errorf("builder: apply %s at %s: %w", op, s.handle(src), err)
 			return b
 		}
-		dst = &State{base: destOps, hash: destOps.Hash(), depth: len(destOps), x: &stateExtra{tag: toTag, doc: d}}
-		s.intern(dst)
+		dst = s.newState(stateRec{hash: destOps.Hash(), depth: int32(len(destOps)), parent: none}, toTag)
+		s.base[dst] = destOps
+		s.docs[dst].doc = d
 	}
-	if err := s.linkEdge(src, dst, op, cell); err != nil {
+	if err := s.linkEdge(src, dst, op, oi); err != nil {
 		b.err = err
 		return b
 	}
-	if dst.depth > s.final.depth {
+	if s.states.at(dst).depth > s.states.at(s.final).depth {
 		s.final = dst
 	}
 	return b
 }
 
 // State returns the built state identified by the operation set and tag.
-func (b *Builder) State(ops opid.Set, tag string) (*State, bool) {
-	return b.space.lookup(ops, tag)
+func (b *Builder) State(ops opid.Set, tag string) (State, bool) {
+	i, ok := b.space.lookup(ops, tag)
+	if !ok {
+		return State{}, false
+	}
+	return b.space.handle(i), true
 }
 
 // Build returns the constructed space or the first error encountered.
