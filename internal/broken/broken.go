@@ -68,7 +68,7 @@ type Client struct {
 	processed opid.Set
 	nextSeq   uint64
 	readSeq   uint64
-	rec       core.Recorder
+	rec       core.Tracker
 }
 
 // NewClient creates a client over the given initial document (cloned).
@@ -79,7 +79,7 @@ func NewClient(id opid.ClientID, initial list.Doc, rec core.Recorder) *Client {
 	} else {
 		doc = list.NewDocument()
 	}
-	return &Client{id: id, doc: doc, processed: opid.NewSet(), rec: rec}
+	return &Client{id: id, doc: doc, processed: opid.NewSet(), rec: core.NewTracker(rec)}
 }
 
 // ID returns the client identifier.
@@ -125,8 +125,9 @@ func (c *Client) generate(op ot.Op) (Msg, error) {
 	}
 	c.log = append(c.log, executed{id: op.ID, form: op})
 	c.processed = c.processed.Add(op.ID)
-	if c.rec != nil {
-		c.rec.Record(c.id.String(), op, c.doc.Elems(), ctx)
+	c.rec.Processed(op.ID)
+	if c.rec.On() {
+		c.rec.Record(c.id.String(), op, c.doc.Elems())
 	}
 	return Msg{From: c.id, Op: op, Ctx: ctx}, nil
 }
@@ -147,6 +148,7 @@ func (c *Client) Receive(m Msg) error {
 	}
 	c.log = append(c.log, executed{id: m.Op.ID, form: o})
 	c.processed = c.processed.Add(m.Op.ID)
+	c.rec.Processed(m.Op.ID)
 	return nil
 }
 
@@ -155,8 +157,8 @@ func (c *Client) Read() []list.Elem {
 	c.readSeq++
 	id := opid.OpID{Client: -c.id - 3000, Seq: c.readSeq}
 	w := c.doc.Elems()
-	if c.rec != nil {
-		c.rec.Record(c.id.String(), ot.Read(id), w, c.processed.Clone())
+	if c.rec.On() {
+		c.rec.Record(c.id.String(), ot.Read(id), w)
 	}
 	return w
 }

@@ -113,7 +113,7 @@ func TestWellFormed(t *testing.T) {
 func TestRecorders(t *testing.T) {
 	var h History
 	var rec Recorder = &h
-	rec.Record("c1", ot.Ins('a', 0, id(1, 1)), nil, opid.NewSet())
+	rec.Record("c1", ot.Ins('a', 0, id(1, 1)), nil, nil)
 	if h.Len() != 1 {
 		t.Fatal("History.Record did not append")
 	}
@@ -122,7 +122,7 @@ func TestRecorders(t *testing.T) {
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func(i int) {
-			locked.Record("cX", ot.Ins('b', 0, id(int32(i+2), 1)), nil, opid.NewSet())
+			locked.Record("cX", ot.Ins('b', 0, id(int32(i+2), 1)), nil, nil)
 			done <- struct{}{}
 		}(i)
 	}
@@ -169,5 +169,56 @@ func TestStepKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
 		}
+	}
+}
+
+// TestVisibilityDeltas: a history stores each event's visible set as a
+// delta against the replica's previous event, ignores identifiers already
+// visible there, and keeps each set's size and hash.
+func TestVisibilityDeltas(t *testing.T) {
+	var h History
+	a, b := id(1, 1), id(2, 1)
+	h.Record("c1", ot.Ins('a', 0, a), nil, nil)
+	h.Record("c2", ot.Ins('b', 0, b), nil, []opid.OpID{a, a})
+	h.Record("c2", ot.Read(id(-1, 1)), nil, []opid.OpID{a, b}) // a again: a restored replica
+	h.Append("c2", ot.Read(id(-1, 2)), nil, opid.NewSet(b))    // a unseen
+	want := []opid.Set{opid.NewSet(), opid.NewSet(a), opid.NewSet(a, b), opid.NewSet(b)}
+	for i, e := range h.Events {
+		vis := h.Visible(i)
+		if !vis.Equal(want[i]) || e.VisibleLen != len(want[i]) || e.VisibleHash != want[i].Hash() {
+			t.Fatalf("event %d: visible %s (len %d, hash %x), want %s", i, vis, e.VisibleLen, e.VisibleHash, want[i])
+		}
+	}
+	if s := h.Events[2].Seen; len(s) != 1 || s[0] != b {
+		t.Fatalf("event 2 sees %v, want only the new %s", s, b)
+	}
+	if e := h.Events[3]; len(e.Seen) != 0 || len(e.Unseen) != 1 || e.Unseen[0] != a {
+		t.Fatalf("event 3: seen %v unseen %v", e.Seen, e.Unseen)
+	}
+	if err := h.WellFormed(); err == nil || !strings.Contains(err.Error(), "not monotone") {
+		t.Fatalf("WellFormed = %v, want the shrinking set reported", err)
+	}
+}
+
+// TestTracker: a tracker hands each event the updates processed since the
+// previous one, holding the event's own update back for the next.
+func TestTracker(t *testing.T) {
+	var h History
+	tr := NewTracker(&h)
+	a, x := id(1, 1), id(2, 1)
+	tr.Processed(x, a) // a remote update, then the replica's own
+	tr.Record("c1", ot.Ins('a', 0, a), nil)
+	tr.Record("c1", ot.Read(id(-1, 1)), nil)
+	if s := h.Events[0].Seen; len(s) != 1 || s[0] != x {
+		t.Fatalf("own event sees %v, want %s only", s, x)
+	}
+	if s := h.Events[1].Seen; len(s) != 1 || s[0] != a {
+		t.Fatalf("next event sees %v, want %s", s, a)
+	}
+	off := NewTracker(nil)
+	off.Processed(x)
+	off.Record("c1", ot.Read(id(-1, 2)), nil)
+	if off.On() || off.seen != nil {
+		t.Fatal("a tracker without a recorder must keep nothing")
 	}
 }

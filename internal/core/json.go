@@ -143,24 +143,30 @@ func SetFromJSON(js []OpIDJSON) opid.Set {
 	return s
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. Every event carries its whole
+// visible set in canonical order, rebuilt from the deltas with one running
+// set per replica.
 func (h *History) MarshalJSON() ([]byte, error) {
 	out := historyJSON{Events: make([]eventJSON, 0, len(h.Events))}
 	for _, e := range h.Seed {
 		out.Seed = append(out.Seed, ElemToJSON(e))
 	}
+	views := make(map[string]opid.Set)
 	for _, e := range h.Events {
+		vis := views[e.Replica]
+		if vis == nil {
+			vis = opid.NewSet()
+			views[e.Replica] = vis
+		}
+		e.apply(vis)
 		ev := eventJSON{
 			Replica:  e.Replica,
 			Op:       OpToJSON(e.Op),
 			Returned: make([]ElemJSON, 0, len(e.Returned)),
-			Visible:  make([]OpIDJSON, 0, len(e.Visible)),
+			Visible:  SetToJSON(vis),
 		}
 		for _, el := range e.Returned {
 			ev.Returned = append(ev.Returned, ElemToJSON(el))
-		}
-		for _, id := range e.Visible.Sorted() {
-			ev.Visible = append(ev.Visible, IDToJSON(id))
 		}
 		out.Events = append(out.Events, ev)
 	}
@@ -173,8 +179,7 @@ func (h *History) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("history json: %w", err)
 	}
-	h.Events = nil
-	h.Seed = nil
+	*h = History{}
 	for _, ej := range in.Seed {
 		e, err := ElemFromJSON(ej)
 		if err != nil {
@@ -195,11 +200,8 @@ func (h *History) UnmarshalJSON(data []byte) error {
 			}
 			returned = append(returned, e)
 		}
-		visible := opid.NewSet()
-		for _, ij := range ev.Visible {
-			visible = visible.Add(IDFromJSON(ij))
-		}
-		h.Append(ev.Replica, op, returned, visible)
+		// Append diffs each set against the replica's previous one.
+		h.Append(ev.Replica, op, returned, SetFromJSON(ev.Visible))
 	}
 	return nil
 }

@@ -38,7 +38,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	for i := range h.Events {
 		a, b := h.Events[i], back.Events[i]
-		if a.Replica != b.Replica || a.Op != b.Op || !a.Visible.Equal(b.Visible) || len(a.Returned) != len(b.Returned) {
+		if a.Replica != b.Replica || a.Op != b.Op || !h.Visible(i).Equal(back.Visible(i)) || len(a.Returned) != len(b.Returned) {
 			t.Fatalf("event %d: %v vs %v", i, a, b)
 		}
 	}

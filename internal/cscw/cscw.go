@@ -101,7 +101,7 @@ type Client struct {
 	processed opid.Set
 	nextSeq   uint64
 	readSeq   uint64
-	rec       core.Recorder
+	rec       core.Tracker
 	dss       *DSS
 }
 
@@ -117,7 +117,7 @@ func NewClient(id opid.ClientID, initial list.Doc, rec core.Recorder) *Client {
 		id:        id,
 		doc:       doc,
 		processed: opid.NewSet(),
-		rec:       rec,
+		rec:       core.NewTracker(rec),
 		dss:       newDSS("DSS" + id.String()),
 	}
 }
@@ -162,8 +162,9 @@ func (c *Client) generate(op ot.Op) (ClientMsg, error) {
 	c.pending = append(c.pending, op)
 	c.dss.extendLocal()
 	c.processed.Put(op.ID)
-	if c.rec != nil {
-		c.rec.Record(c.id.String(), op, c.doc.Elems(), ctx)
+	c.rec.Processed(op.ID)
+	if c.rec.On() {
+		c.rec.Record(c.id.String(), op, c.doc.Elems())
 	}
 	return ClientMsg{From: c.id, Op: op, Ctx: ctx}, nil
 }
@@ -195,6 +196,7 @@ func (c *Client) Receive(m ServerMsg) error {
 			return fmt.Errorf("%s: execute %s: %w", c.id, o, err)
 		}
 		c.processed.Put(o.ID)
+		c.rec.Processed(o.ID)
 		return nil
 	default:
 		return fmt.Errorf("%s: unknown server message kind %d", c.id, m.Kind)
@@ -206,8 +208,8 @@ func (c *Client) Read() []list.Elem {
 	c.readSeq++
 	id := opid.OpID{Client: -c.id - 1000, Seq: c.readSeq}
 	w := c.doc.Elems()
-	if c.rec != nil {
-		c.rec.Record(c.id.String(), ot.Read(id), w, c.processed.Clone())
+	if c.rec.On() {
+		c.rec.Record(c.id.String(), ot.Read(id), w)
 	}
 	return w
 }
@@ -221,7 +223,7 @@ type Server struct {
 	processed opid.Set
 	nextSeq   uint64
 	readSeq   uint64
-	rec       core.Recorder
+	rec       core.Tracker
 }
 
 // NewServer creates the CSCW server for the given clients.
@@ -238,7 +240,7 @@ func NewServer(clients []opid.ClientID, initial list.Doc, rec core.Recorder) *Se
 		against:   make(map[opid.ClientID][]ot.Op, len(clients)),
 		dss:       make(map[opid.ClientID]*DSS, len(clients)),
 		processed: opid.NewSet(),
-		rec:       rec,
+		rec:       core.NewTracker(rec),
 	}
 	for _, c := range clients {
 		s.dss[c] = newDSS("DSSs" + c.String())
@@ -299,6 +301,7 @@ func (s *Server) Receive(m ClientMsg) ([]Addressed, error) {
 		return nil, fmt.Errorf("server: execute %s: %w", o, err)
 	}
 	s.processed.Put(o.ID)
+	s.rec.Processed(o.ID)
 
 	out := make([]Addressed, 0, len(s.clients))
 	for _, c := range s.clients {
@@ -319,8 +322,8 @@ func (s *Server) Read() []list.Elem {
 	s.readSeq++
 	id := opid.OpID{Client: -1, Seq: s.readSeq}
 	w := s.doc.Elems()
-	if s.rec != nil {
-		s.rec.Record(opid.ServerName, ot.Read(id), w, s.processed.Clone())
+	if s.rec.On() {
+		s.rec.Record(opid.ServerName, ot.Read(id), w)
 	}
 	return w
 }

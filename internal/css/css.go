@@ -82,7 +82,7 @@ type replica struct {
 	name  string
 	space *statespace.Space
 	doc   list.Doc
-	rec   core.Recorder
+	rec   core.Tracker // the recorder and the operations processed since its last event
 
 	// compact is whether this replica sends compact contexts; order is the
 	// serialization order as far as it has learned it (compactctx.go).
@@ -107,7 +107,7 @@ func newReplica(name string, initial list.Doc, rec core.Recorder, opts []statesp
 		name:  name,
 		space: statespace.New(initial, opts...),
 		doc:   doc,
-		rec:   rec,
+		rec:   core.NewTracker(rec),
 	}
 }
 
@@ -124,6 +124,15 @@ func (r *replica) expand(c CompactCtx) (ctx opid.Set, err error) {
 // state's operation set), materialized fresh for the caller.
 func (r *replica) processed() opid.Set { return r.space.Final().Ops() }
 
+// reportProcessed hands the recorder the replica's whole processed set, as
+// the delta of its next event: a restored or joining replica has processed
+// operations its recorder never saw it integrate.
+func (r *replica) reportProcessed() {
+	if r.rec.On() {
+		r.rec.Processed(r.processed().Sorted()...)
+	}
+}
+
 // integrate runs the uniform processing for one operation and executes the
 // transformed result on the document, returning the executed form.
 func (r *replica) integrate(o ot.Op, ctx opid.Set, key statespace.OrderKey, local bool) (ot.Op, error) {
@@ -131,6 +140,7 @@ func (r *replica) integrate(o ot.Op, ctx opid.Set, key statespace.OrderKey, loca
 	if err != nil {
 		return ot.Op{}, fmt.Errorf("%s: %w", r.name, err)
 	}
+	r.rec.Processed(o.ID)
 	return r.execute(exec, local)
 }
 
@@ -142,6 +152,7 @@ func (r *replica) integrateLocal(o ot.Op, key statespace.OrderKey) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", r.name, err)
 	}
+	r.rec.Processed(o.ID)
 	_, err = r.execute(exec, true)
 	return err
 }
@@ -162,9 +173,9 @@ func (r *replica) execute(exec ot.Op, local bool) (ot.Op, error) {
 func (r *replica) OnExecute(fn func(op ot.Op, local bool)) { r.onExec = fn }
 
 // record appends a do event to the history, if recording is enabled.
-func (r *replica) record(op ot.Op, visible opid.Set) {
-	if r.rec != nil {
-		r.rec.Record(r.name, op, r.doc.Elems(), visible)
+func (r *replica) record(op ot.Op) {
+	if r.rec.On() {
+		r.rec.Record(r.name, op, r.doc.Elems())
 	}
 }
 
@@ -231,17 +242,17 @@ func (c *Client) GenerateDel(pos int) (ClientMsg, error) {
 }
 
 func (c *Client) generate(op ot.Op) (ClientMsg, error) {
-	// The context is the processed set as it stands before op. It has two
-	// readers, a recorder and an explicit-context message; without either it
-	// is never built, or every operation would cost O(history).
+	// The context is the processed set as it stands before op. Only an
+	// explicit-context message reads it; otherwise it is never built, or
+	// every operation would cost O(history).
 	var ctx opid.Set
-	if c.rec != nil || !c.compact {
+	if !c.compact {
 		ctx = c.processed()
 	}
 	if err := c.integrateLocal(op, statespace.PendingKey); err != nil {
 		return ClientMsg{}, err
 	}
-	c.record(op, ctx)
+	c.record(op)
 	if c.compact {
 		return ClientMsg{From: c.id, Op: op, Compact: &CompactCtx{
 			Origin: c.id,
@@ -294,8 +305,8 @@ func (c *Client) Read() []list.Elem {
 	// for logging; they are never transformed or propagated.
 	id := opid.OpID{Client: -c.id - 1000, Seq: c.readSeq}
 	w := c.doc.Elems()
-	if c.rec != nil {
-		c.rec.Record(c.name, ot.Read(id), w, c.processed())
+	if c.rec.On() {
+		c.rec.Record(c.name, ot.Read(id), w)
 	}
 	return w
 }
@@ -446,8 +457,8 @@ func (s *Server) Read() []list.Elem {
 	s.readSeq++
 	id := opid.OpID{Client: -1, Seq: s.readSeq}
 	w := s.doc.Elems()
-	if s.rec != nil {
-		s.rec.Record(s.name, ot.Read(id), w, s.processed())
+	if s.rec.On() {
+		s.rec.Record(s.name, ot.Read(id), w)
 	}
 	return w
 }

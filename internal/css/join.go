@@ -108,12 +108,13 @@ func NewClientFromSnapshot(id opid.ClientID, snap *Snapshot, rec core.Recorder, 
 			name:  id.String(),
 			space: statespace.NewAt(root, doc, opts...),
 			doc:   doc.Clone(),
-			rec:   rec,
+			rec:   core.NewTracker(rec),
 		},
 		id: id,
 	}
 	c.order = append(c.order, snap.FrontierIDs...)
 	c.broadcasts = len(c.order)
+	c.reportProcessed()
 	for _, m := range snap.Replay {
 		if err := c.Receive(m); err != nil {
 			return nil, fmt.Errorf("join: replay: %w", err)

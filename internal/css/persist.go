@@ -97,7 +97,7 @@ func RestoreServer(data []byte, rec core.Recorder) (*Server, error) {
 		return nil, fmt.Errorf("css: restore server: frontierDoc: %w", err)
 	}
 	s := &Server{
-		replica:     replica{name: opid.ServerName, doc: fdoc.Clone(), rec: rec, compact: st.Compact},
+		replica:     replica{name: opid.ServerName, doc: fdoc.Clone(), rec: core.NewTracker(rec), compact: st.Compact},
 		readSeq:     st.ReadSeq,
 		known:       make(map[opid.ClientID]progress, len(st.Clients)),
 		frontierAt:  len(st.Frontier),
@@ -107,6 +107,7 @@ func RestoreServer(data []byte, rec core.Recorder) (*Server, error) {
 		s.order = append(s.order, core.IDFromJSON(ij))
 	}
 	s.space = statespace.NewAt(opid.NewSet(s.order...), fdoc)
+	s.reportProcessed()
 	for i, t := range st.Tail {
 		e := tailEntry{remote: t.Remote}
 		if e.op, err = core.OpFromJSON(t.Op); err != nil {
@@ -192,7 +193,7 @@ func RestoreClient(data []byte, rec core.Recorder) (*Client, error) {
 			name:    opid.ClientID(st.ID).String(),
 			space:   st.Space,
 			doc:     doc,
-			rec:     rec,
+			rec:     core.NewTracker(rec),
 			compact: st.Compact,
 		},
 		id:         opid.ClientID(st.ID),
@@ -203,5 +204,6 @@ func RestoreClient(data []byte, rec core.Recorder) (*Client, error) {
 	for _, ij := range st.Order {
 		c.order = append(c.order, core.IDFromJSON(ij))
 	}
+	c.reportProcessed()
 	return c, nil
 }

@@ -287,13 +287,16 @@ func TestRestoredClientMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ByteSize first: Fingerprint memoizes every state's key.
 	lb, rb := live.Space().ByteSize(), restored.Space().ByteSize()
 	if d := float64(rb-lb) / float64(lb); d < -0.01 || d > 0.01 {
 		t.Errorf("restored space is %d B, the live one %d B (%+.1f %%), want within 1 %%", rb, lb, 100*d)
 	}
 	if restored.Space().Fingerprint() != live.Space().Fingerprint() {
 		t.Fatal("restored space differs from the live one")
+	}
+	// Fingerprint computes every state's key; the spaces must not keep them.
+	if l, r := live.Space().ByteSize(), restored.Space().ByteSize(); l != lb || r != rb {
+		t.Errorf("Fingerprint grew the spaces: live %d → %d B, restored %d → %d B", lb, l, rb, r)
 	}
 }
 

@@ -85,7 +85,7 @@ type Peer struct {
 	queue   []Msg // pending remote operations, sorted by timestamp
 	nextSeq uint64
 	readSeq uint64
-	rec     core.Recorder
+	rec     core.Tracker
 
 	// GC bookkeeping: delivered operations in total order, the latest
 	// horizon heard from each peer, and how far compaction has advanced.
@@ -120,7 +120,7 @@ func NewPeer(id opid.ClientID, peers []opid.ClientID, initial list.Doc, rec core
 		clock:    tob.NewClock(id, peers),
 		space:    statespace.New(initial, opts...),
 		doc:      doc,
-		rec:      rec,
+		rec:      core.NewTracker(rec),
 		horizons: horizons,
 	}
 }
@@ -171,8 +171,8 @@ func (p *Peer) generate(op ot.Op) (Msg, error) {
 	if err := p.execute(op, exec, ts); err != nil {
 		return Msg{}, err
 	}
-	if p.rec != nil {
-		p.rec.Record(p.id.String(), op, p.doc.Elems(), ctx)
+	if p.rec.On() {
+		p.rec.Record(p.id.String(), op, p.doc.Elems())
 	}
 	return Msg{Kind: MsgOp, From: p.id, Op: op, Ctx: ctx, TS: ts, Horizon: p.horizon()}, nil
 }
@@ -187,6 +187,7 @@ func (p *Peer) integrate(op ot.Op, ctx opid.Set, ts tob.Timestamp) error {
 
 // execute applies the transformed operation and records the delivery.
 func (p *Peer) execute(op, exec ot.Op, ts tob.Timestamp) error {
+	p.rec.Processed(op.ID) // in the space, so processed, even if execution fails
 	if err := ot.Apply(p.doc, exec); err != nil {
 		return fmt.Errorf("%s: execute %s: %w", p.id, exec, err)
 	}
@@ -309,8 +310,8 @@ func (p *Peer) Read() []list.Elem {
 	p.readSeq++
 	id := opid.OpID{Client: -p.id - 4000, Seq: p.readSeq}
 	w := p.doc.Elems()
-	if p.rec != nil {
-		p.rec.Record(p.id.String(), ot.Read(id), w, p.space.Final().Ops())
+	if p.rec.On() {
+		p.rec.Record(p.id.String(), ot.Read(id), w)
 	}
 	return w
 }

@@ -1,9 +1,14 @@
 package dcss_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"jupiter/internal/core"
 	"jupiter/internal/dcss"
 	"jupiter/internal/list"
 	"jupiter/internal/opid"
@@ -398,5 +403,45 @@ func TestMeshGC(t *testing.T) {
 		if _, err := cl.CheckConverged(); err != nil {
 			t.Fatalf("seed %d: post-GC: %v", seed, err)
 		}
+	}
+}
+
+// meshHistory is a seeded three-peer run with a final read at every peer.
+func meshHistory(t *testing.T) *core.History {
+	t.Helper()
+	cl, err := dcss.NewCluster(3, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := randomRun(cl, 3, 6); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range cl.Peers() {
+		cl.Read(id)
+	}
+	return cl.History()
+}
+
+// TestHistoryJSONGolden pins the mesh's history encoding: the run encodes to
+// the bytes in testdata (every event with its whole visible set), and
+// decoding and re-encoding them is the identity.
+func TestHistoryJSONGolden(t *testing.T) {
+	got, err := json.Marshal(meshHistory(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "history-dcss.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("encoding differs from testdata")
+	}
+	var back core.History
+	if err := json.Unmarshal(want, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(&back); err != nil || !bytes.Equal(again, want) {
+		t.Errorf("decode then encode is not the identity (%v)", err)
 	}
 }

@@ -172,14 +172,14 @@ func newCappedRecorder(capacity int) *cappedRecorder {
 }
 
 // Record implements core.Recorder.
-func (c *cappedRecorder) Record(replica string, op ot.Op, returned []list.Elem, visible opid.Set) {
+func (c *cappedRecorder) Record(replica string, op ot.Op, returned []list.Elem, seen []opid.OpID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.overflow || len(c.hist.Events) >= c.capacity {
 		c.overflow = true
 		return
 	}
-	c.hist.Append(replica, op, returned, visible)
+	c.hist.Record(replica, op, returned, seen)
 }
 
 // overflowed reports whether the cap was hit (the history is incomplete).

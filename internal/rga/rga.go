@@ -98,7 +98,7 @@ type Replica struct {
 	readSeq   uint64
 	visible   int // live (non-tombstone) element count
 	processed opid.Set
-	rec       core.Recorder
+	rec       core.Tracker
 }
 
 // NewReplica creates an RGA replica. Client replicas pass their ID; the
@@ -110,7 +110,7 @@ func NewReplica(name string, id opid.ClientID, rec core.Recorder) *Replica {
 		head:      &node{},
 		index:     make(map[opid.OpID]*node),
 		processed: opid.NewSet(),
-		rec:       rec,
+		rec:       core.NewTracker(rec),
 	}
 }
 
@@ -175,8 +175,8 @@ func (r *Replica) GenerateIns(val rune, pos int) (Effect, error) {
 	if err := r.Integrate(eff); err != nil {
 		return Effect{}, err
 	}
-	if r.rec != nil {
-		r.rec.Record(r.name, eff.Op, r.Document(), ctx)
+	if r.rec.On() {
+		r.rec.Record(r.name, eff.Op, r.Document())
 	}
 	return eff, nil
 }
@@ -201,8 +201,8 @@ func (r *Replica) GenerateDel(pos int) (Effect, error) {
 	if err := r.Integrate(eff); err != nil {
 		return Effect{}, err
 	}
-	if r.rec != nil {
-		r.rec.Record(r.name, eff.Op, r.Document(), ctx)
+	if r.rec.On() {
+		r.rec.Record(r.name, eff.Op, r.Document())
 	}
 	return eff, nil
 }
@@ -247,6 +247,7 @@ func (r *Replica) Integrate(eff Effect) error {
 		return fmt.Errorf("%s: unknown effect kind %d", r.name, eff.Kind)
 	}
 	r.processed = r.processed.Add(eff.Op.ID)
+	r.rec.Processed(eff.Op.ID)
 	return nil
 }
 
@@ -255,8 +256,8 @@ func (r *Replica) Read() []list.Elem {
 	r.readSeq++
 	id := opid.OpID{Client: -r.id - 2000, Seq: r.readSeq}
 	w := r.Document()
-	if r.rec != nil {
-		r.rec.Record(r.name, ot.Read(id), w, r.processed.Clone())
+	if r.rec.On() {
+		r.rec.Record(r.name, ot.Read(id), w)
 	}
 	return w
 }

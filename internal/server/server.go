@@ -366,6 +366,12 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		// Every conn has torn down. A close timer still pending would keep
+		// its conn, and through it the engine and every document, reachable
+		// for the rest of its delay.
+		for _, c := range conns {
+			c.closeTimer.Stop()
+		}
 		return e.persistDocs(docs)
 	case <-ctx.Done():
 		return fmt.Errorf("server: shutdown: %w", ctx.Err())
@@ -458,8 +464,9 @@ type conn struct {
 
 	sendCh chan outFrame
 
-	closeOnce sync.Once
-	closedCh  chan struct{}
+	closeOnce  sync.Once
+	closedCh   chan struct{}
+	closeTimer *time.Timer // armed by shutdown; Engine.Shutdown's goroutine only
 
 	// Set by the read loop after a successful Hello; read by the apply loop
 	// only from inside closures it executes (no lock needed there), and
@@ -539,7 +546,7 @@ func (c *conn) close() {
 // lets the write loop flush the notice before the socket goes away.
 func (c *conn) shutdown() {
 	c.enqueue(&wire.Frame{Type: wire.TError, Error: &wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"}})
-	time.AfterFunc(50*time.Millisecond, c.close)
+	c.closeTimer = time.AfterFunc(50*time.Millisecond, c.close)
 }
 
 // writeFrame sends one frame with the given deadline budget.

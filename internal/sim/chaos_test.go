@@ -149,6 +149,29 @@ func TestChaosLostStateRejoin(t *testing.T) {
 	}
 }
 
+// TestChaosCrashReportsAgain: a client restored from its snapshot reports
+// its whole processed set to the recorder at its next event, so the history
+// sees updates it already saw; they must be taken once. These are the
+// schedules of `jupitersim -protocol css -drop 0.2 -dup 0.1 -reorder 0.2
+// -delay 4 -crash 1 -seed 1..5`, and each history must be well formed and
+// pass both specifications (runChaos checks the latter).
+func TestChaosCrashReportsAgain(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		fc := &faultnet.Config{Seed: seed, Drop: 0.2, Dup: 0.1, Reorder: 0.2, DelayMax: 4}
+		fc.AddRandomCrashes(1, 3, ChaosHorizon(20))
+		if len(fc.Crashes) != 1 {
+			t.Fatalf("seed %d: %d crashes scheduled, want 1", seed, len(fc.Crashes))
+		}
+		res, err := RunAsync(CSS, AsyncConfig{Clients: 3, OpsPerClient: 20, Seed: seed, DeleteRatio: 0.3, Record: true, Faults: fc})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := res.History.WellFormed(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // TestChaosNegativeControl: with receiver-side dedup disabled, a fault
 // schedule that duplicates packets MUST break the harness — proving the
 // chaos checks actually depend on the session layer.

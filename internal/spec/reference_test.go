@@ -65,7 +65,7 @@ func refCondition1(h *core.History) *spec.Violation {
 					delete(want, u.Elem.ID)
 				}
 			}
-			for id := range e.Visible {
+			for id := range h.Visible(e.Index) {
 				if u, ok := byID[id]; ok {
 					apply(u)
 				}
@@ -381,7 +381,7 @@ func refConvergence(h *core.History) error {
 		if !e.IsRead() {
 			continue
 		}
-		key := e.Visible.Key()
+		key := h.Visible(e.Index).Key()
 		prev, seen := byVisible[key]
 		if !seen {
 			byVisible[key] = e

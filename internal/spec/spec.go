@@ -76,24 +76,65 @@ func AsViolation(err error) (*Violation, bool) {
 // CheckConvergence verifies Definition 3.1: for every pair of read events
 // whose visible update sets are equal, the returned lists must be equal.
 //
-// Reads are bucketed by the hash of their visible sets (opid.Set.Hash); a
-// bucket keeps the first read of each distinct set that hashed there, and
-// every hit is confirmed with Set.Equal, so a collision costs a comparison,
-// never a verdict. Each read costs O(V) for the hash and the comparison.
+// Reads are bucketed by the size and hash (opid.Set.Hash) of their visible
+// sets, which the history keeps per event; a bucket keeps the first read of
+// each distinct set that landed there, and every hit is confirmed against
+// the sets themselves, so a collision costs a comparison, never a verdict.
+// Unless some set shrinks (Unseen), a replica's set only grows: two of its
+// reads of one size saw the same set, and a read's set is a prefix of the
+// order in which its replica's updates became visible. A hit across
+// replicas then costs O(V), and a read that meets no earlier set O(1).
 func CheckConvergence(h *core.History) error {
-	byVisible := make(map[uint64][]int) // hash → first read of each set
+	type summary struct {
+		size int
+		hash uint64
+	}
+	type read struct{ event, seen int } // a read, and how many updates its replica had seen
+	type view struct {
+		order   []opid.OpID // the replica's updates, in the order they became visible
+		set     opid.Set    // order[:applied] as a set, brought up to date on a hit
+		applied int
+	}
+	shrinks := slices.ContainsFunc(h.Events, func(e core.Event) bool { return len(e.Unseen) > 0 })
+	views := make(map[string]*view)
+	same := func(r read, i int, v *view) bool {
+		if shrinks {
+			return h.Visible(r.event).Equal(h.Visible(i))
+		}
+		w := views[h.Events[r.event].Replica]
+		if w == v {
+			return true
+		}
+		for _, id := range v.order[v.applied:] {
+			v.set.Put(id)
+		}
+		v.applied = len(v.order)
+		for _, id := range w.order[:r.seen] {
+			if !v.set.Contains(id) {
+				return false
+			}
+		}
+		return true
+	}
+	byVisible := make(map[summary][]read) // the first read of each distinct set
 	for i, e := range h.Events {
+		v := views[e.Replica]
+		if v == nil {
+			v = &view{set: opid.NewSet()}
+			views[e.Replica] = v
+		}
+		v.order = append(v.order, e.Seen...)
 		if !e.IsRead() {
 			continue
 		}
-		hash := e.Visible.Hash()
-		bucket := byVisible[hash]
-		k := slices.IndexFunc(bucket, func(j int) bool { return h.Events[j].Visible.Equal(e.Visible) })
+		key := summary{e.VisibleLen, e.VisibleHash}
+		bucket := byVisible[key]
+		k := slices.IndexFunc(bucket, func(r read) bool { return same(r, i, v) })
 		if k < 0 {
-			byVisible[hash] = append(bucket, i)
+			byVisible[key] = append(bucket, read{i, len(v.order)})
 			continue
 		}
-		if prev := h.Events[bucket[k]]; !list.ElemsEqual(prev.Returned, e.Returned) {
+		if prev := h.Events[bucket[k].event]; !list.ElemsEqual(prev.Returned, e.Returned) {
 			return &Violation{
 				Spec: Convergence,
 				Reason: fmt.Sprintf("reads with identical visible updates returned %q and %q",
@@ -177,7 +218,6 @@ func checkCondition1(h *core.History, spec Spec) error {
 	}
 	views := make(map[string]*visibleLive)
 	seen := make(map[opid.OpID]struct{})
-	var fresh []opid.OpID
 	for _, e := range h.Events {
 		// Uniqueness within the returned list.
 		clear(seen)
@@ -197,7 +237,7 @@ func checkCondition1(h *core.History, spec Spec) error {
 			v = &visibleLive{}
 			views[e.Replica] = v
 		}
-		fresh = v.advance(h.Seed, byID, e.Visible, fresh)
+		v.advance(h, byID, e)
 		own := e.Op.Elem.ID
 		_, ownLive := v.live[own]
 		_, ownDead := v.dead[own]
@@ -239,40 +279,31 @@ func checkCondition1(h *core.History, spec Spec) error {
 	return nil
 }
 
-// visibleLive is condition 1a's running state at one replica: the visible
-// set of its previous event, the elements deleted by it, and the elements
-// live under it — the seed and the visible inserts minus the deleted.
+// visibleLive is condition 1a's running state at one replica: the elements
+// deleted by the visible set of its previous event, and the elements live
+// under it — the seed and the visible inserts minus the deleted.
 type visibleLive struct {
-	vis        opid.Set
 	live, dead map[opid.OpID]struct{}
 }
 
-// advance moves the view to the visible set vis, applying only the updates
-// the previous event did not see: their inserts, then their deletes. A
-// delete is only ever generated for an element whose insert is visible too
+// advance moves the view to event e's visible set by applying e's delta:
+// the inserts among the newly seen updates, then their deletes. A delete is
+// only ever generated for an element whose insert is visible too
 // (visibility is causally closed), and an insert whose element is already
-// deleted stays deleted, so the view is the same as a replay of all of vis.
-// If vis is not a superset of the previous set, the view is rebuilt from
-// the seed. fresh is scratch space, returned for reuse.
-func (v *visibleLive) advance(seed []list.Elem, byID map[opid.OpID]ot.Op, vis opid.Set, fresh []opid.OpID) []opid.OpID {
-	fresh, kept := fresh[:0], 0
-	for id := range vis {
-		if v.vis.Contains(id) {
-			kept++
-		} else {
-			fresh = append(fresh, id)
-		}
+// deleted stays deleted, so the view is the same as a replay of the whole
+// set. If the set shrank (Unseen), the view is rebuilt from the seed and
+// the materialized set.
+func (v *visibleLive) advance(h *core.History, byID map[opid.OpID]ot.Op, e core.Event) {
+	fresh := e.Seen
+	if len(e.Unseen) > 0 {
+		v.live, fresh = nil, h.Visible(e.Index).Sorted()
 	}
-	if v.live == nil || kept < len(v.vis) {
-		v.live, v.dead, fresh = make(map[opid.OpID]struct{}), make(map[opid.OpID]struct{}), fresh[:0]
-		for _, el := range seed {
+	if v.live == nil {
+		v.live, v.dead = make(map[opid.OpID]struct{}), make(map[opid.OpID]struct{})
+		for _, el := range h.Seed {
 			v.live[el.ID] = struct{}{}
 		}
-		for id := range vis {
-			fresh = append(fresh, id)
-		}
 	}
-	v.vis = vis
 	for _, kind := range [...]ot.Kind{ot.KindIns, ot.KindDel} {
 		for _, id := range fresh {
 			op, ok := byID[id]
@@ -287,7 +318,6 @@ func (v *visibleLive) advance(seed []list.Elem, byID map[opid.OpID]ot.Op, vis op
 			}
 		}
 	}
-	return fresh
 }
 
 // listGraph is the list-order graph of a history: a node per element of a

@@ -157,12 +157,6 @@ func (s *Space) CompactTo(frontier opid.Set) error {
 			}
 			t.tags[keep[i]] = tag
 		}
-		if k, ok := s.keys[i]; ok {
-			if t.keys == nil {
-				t.keys = make(map[int32]string)
-			}
-			t.keys[keep[i]] = k
-		}
 		if s.recordDocs {
 			d := s.docs[i]
 			if d.parent != none && keep[d.parent] == none {

@@ -19,7 +19,8 @@ import (
 // "the same n-ary ordered state-space".
 func (s *Space) Render() string {
 	var b strings.Builder
-	for _, st := range s.sortedStates() {
+	states, _ := s.sortedStates()
+	for _, st := range states {
 		fmt.Fprintf(&b, "%s:", st)
 		for e := s.states.at(st.i).out; e != none; e = s.edges.at(e).sib {
 			fmt.Fprintf(&b, " [%s -> %s]", s.label(e), s.handle(s.edges.at(e).to))
@@ -48,10 +49,11 @@ func (s *Space) Dot() string {
 		}
 		return st.String()
 	}
-	for _, st := range s.sortedStates() {
-		fmt.Fprintf(&b, "  %q [label=%q];\n", st.Key(), label(st))
+	states, keys := s.sortedStates()
+	for _, st := range states {
+		fmt.Fprintf(&b, "  %q [label=%q];\n", keys[st.i], label(st))
 		for i, e := range st.Edges() {
-			fmt.Fprintf(&b, "  %q -> %q [label=%q, taillabel=\"%d\"];\n", st.Key(), e.To.Key(), e.Op.String(), i)
+			fmt.Fprintf(&b, "  %q -> %q [label=%q, taillabel=\"%d\"];\n", keys[st.i], keys[e.To.i], e.Op.String(), i)
 		}
 	}
 	b.WriteString("}\n")
@@ -117,7 +119,11 @@ func (s *Space) LCA(a, b State) (State, []State, error) {
 			lowest = append(lowest, c)
 		}
 	}
-	sort.Slice(lowest, func(i, j int) bool { return lowest[i].Key() < lowest[j].Key() })
+	keys := make(map[State]string, len(lowest))
+	for _, st := range lowest {
+		keys[st] = st.Key()
+	}
+	sort.Slice(lowest, func(i, j int) bool { return keys[lowest[i]] < keys[lowest[j]] })
 	if len(lowest) != 1 {
 		return State{}, lowest, fmt.Errorf("%w: %s and %s have %d lowest common ancestors", ErrAmbiguousLCA, a, b, len(lowest))
 	}
@@ -195,7 +201,7 @@ func (s *Space) Compatible(a, b State) (bool, error) {
 // the space holds compatible documents. Requires WithDocs. Returns a
 // descriptive error naming the first incompatible pair.
 func (s *Space) CheckPairwiseCompatibility() error {
-	states := s.sortedStates()
+	states, _ := s.sortedStates()
 	for i := 0; i < len(states); i++ {
 		for j := i + 1; j < len(states); j++ {
 			ok, err := s.Compatible(states[i], states[j])
@@ -273,7 +279,7 @@ func (s *Space) CheckInvariants(n int, checkLCA bool) error {
 		return fmt.Errorf("statespace: %d incoming edges listed, %d edges", incoming, s.edges.n)
 	}
 	if checkLCA {
-		states := s.sortedStates()
+		states, _ := s.sortedStates()
 		for i := 0; i < len(states); i++ {
 			for j := i + 1; j < len(states); j++ {
 				if _, _, err := s.LCA(states[i], states[j]); err != nil {
@@ -285,19 +291,22 @@ func (s *Space) CheckInvariants(n int, checkLCA bool) error {
 	return nil
 }
 
-// sortedStates returns all states in canonical key order.
-func (s *Space) sortedStates() []State {
-	states := make([]State, s.states.n)
+// sortedStates returns all states in canonical key order, and every
+// state's key by state number. The keys are computed once for the call and
+// not kept: the space holds no key it did not need to integrate.
+func (s *Space) sortedStates() ([]State, []string) {
+	states, keys := make([]State, s.states.n), make([]string, s.states.n)
 	for i := range states {
-		states[i] = s.handle(int32(i))
+		states[i], keys[i] = s.handle(int32(i)), s.key(int32(i))
 	}
-	sort.Slice(states, func(i, j int) bool { return states[i].Key() < states[j].Key() })
-	return states
+	sort.Slice(states, func(i, j int) bool { return keys[states[i].i] < keys[states[j].i] })
+	return states, keys
 }
 
 // States returns all states in canonical key order (copy).
 func (s *Space) States() []State {
-	return s.sortedStates()
+	states, _ := s.sortedStates()
+	return states
 }
 
 // Record sizes of the flat representation, in bytes.
@@ -309,7 +318,7 @@ const (
 // ByteSize is the heap the space holds, in bytes: the allocated state,
 // transition and operation-table chunks; the intern index and the
 // operation → entry table; the path scratch; and every side table (base
-// sets, odd labels, tags, memoized keys, documents). Record sizes come from
+// sets, odd labels, tags, documents). Record sizes come from
 // unsafe.Sizeof, and a hash-table entry counts 1.5× its key, value and
 // control byte (the mean load of Go's tables between growths). The
 // simulator's space statistics report it; TestByteSizeTracksHeap holds it
@@ -329,9 +338,6 @@ func (s *Space) ByteSize() int {
 	}
 	for _, t := range s.tags {
 		total += mapEntry(i32+str) + len(t)
-	}
-	for _, k := range s.keys {
-		total += mapEntry(i32+str) + len(k)
 	}
 	total += cap(s.docs) * int(unsafe.Sizeof(docRec{}))
 	for _, d := range s.docs {

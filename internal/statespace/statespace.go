@@ -33,7 +33,7 @@
 // into chunked storage that grows without copying (store.go). A transition's
 // label is its original operation — kept once, with its order key, in a
 // per-space operation table — with the kind and position a transformation
-// changes. Materialized sets (the root's), builder tags, memoized keys and
+// changes. Materialized sets (the root's), builder tags and
 // WithDocs documents sit in side tables that protocol-built spaces leave
 // empty or absent. State and Edge are small values that refer into the
 // space; a State is valid until the next CompactTo or UnmarshalJSON.
@@ -166,8 +166,8 @@ func (st State) Parents() []Edge {
 }
 
 // Key returns the canonical string identity of the state (the sorted
-// operation-set encoding, plus the builder tag if any). It is memoized in a
-// side table on first use; protocol hot paths never call it.
+// operation-set encoding, plus the builder tag if any). It is computed on
+// every call and not kept; protocol hot paths never call it.
 func (st State) Key() string { return st.space().key(st.i) }
 
 // Doc returns the list value at this state, or nil when the space does not
@@ -223,7 +223,6 @@ type Space struct {
 	base map[int32]opid.Set // materialized sets: roots and chain-less states
 	odd  map[int32]ot.Op    // edge labels that are not (original, kind, pos)
 	tags map[int32]string   // builder tags
-	keys map[int32]string   // memoized Key
 	docs []docRec           // WithDocs: one per state
 
 	pathBuf []int32 // reusable leftmostPath scratch (hot path, no allocs)
@@ -349,19 +348,12 @@ func (s *Space) subsetOf(i int32, ops opid.Set) bool {
 	return true
 }
 
-// key computes (and memoizes) state i's Key.
+// key computes state i's Key.
 func (s *Space) key(i int32) string {
-	if k, ok := s.keys[i]; ok {
-		return k
-	}
 	k := s.opsOf(i).Key()
 	if t := s.tag(i); t != "" {
 		k += "#" + t
 	}
-	if s.keys == nil {
-		s.keys = make(map[int32]string)
-	}
-	s.keys[i] = k
 	return k
 }
 

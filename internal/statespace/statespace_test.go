@@ -468,6 +468,21 @@ func TestRenderAndDot(t *testing.T) {
 	}
 }
 
+// TestQueriesKeepNoKeys: the canonical-order queries compute state keys for
+// the call only, so reading a space does not grow it.
+func TestQueriesKeepNoKeys(t *testing.T) {
+	s := New(nil)
+	mustIntegrate(t, s, ot.Ins('a', 0, id(1, 1)), set(), 1)
+	mustIntegrate(t, s, ot.Ins('b', 0, id(2, 1)), set(), 2)
+	mustIntegrate(t, s, ot.Ins('c', 1, id(1, 2)), set(id(1, 1)), 3)
+	before := s.ByteSize()
+	_, _ = s.Render(), s.Fingerprint()
+	_, _ = s.Dot(), s.States()
+	if after := s.ByteSize(); after != before {
+		t.Fatalf("ByteSize %d B before the queries, %d B after", before, after)
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	b := NewBuilder(nil)
 	b.Edge(set(id(9, 9)), ot.Ins('a', 0, id(1, 1)), 1)

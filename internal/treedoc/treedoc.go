@@ -154,12 +154,12 @@ type Replica struct {
 	nextSeq   uint64
 	ctr       uint64
 	readSeq   uint64
-	rec       core.Recorder
+	rec       core.Tracker
 }
 
 // NewReplica creates a TreeDoc replica. The server passes id < 0.
 func NewReplica(name string, id opid.ClientID, rec core.Recorder) *Replica {
-	return &Replica{name: name, id: id, processed: opid.NewSet(), rec: rec}
+	return &Replica{name: name, id: id, processed: opid.NewSet(), rec: core.NewTracker(rec)}
 }
 
 // Document returns the live elements in order.
@@ -254,8 +254,8 @@ func (r *Replica) GenerateIns(val rune, pos int) (Effect, error) {
 	if err := r.Integrate(eff); err != nil {
 		return Effect{}, err
 	}
-	if r.rec != nil {
-		r.rec.Record(r.name, eff.Op, r.Document(), ctx)
+	if r.rec.On() {
+		r.rec.Record(r.name, eff.Op, r.Document())
 	}
 	return eff, nil
 }
@@ -274,8 +274,8 @@ func (r *Replica) GenerateDel(pos int) (Effect, error) {
 	if err := r.Integrate(eff); err != nil {
 		return Effect{}, err
 	}
-	if r.rec != nil {
-		r.rec.Record(r.name, eff.Op, r.Document(), ctx)
+	if r.rec.On() {
+		r.rec.Record(r.name, eff.Op, r.Document())
 	}
 	return eff, nil
 }
@@ -305,6 +305,7 @@ func (r *Replica) Integrate(eff Effect) error {
 		return fmt.Errorf("%s: unknown effect kind %d", r.name, eff.Kind)
 	}
 	r.processed = r.processed.Add(eff.Op.ID)
+	r.rec.Processed(eff.Op.ID)
 	return nil
 }
 
@@ -313,8 +314,8 @@ func (r *Replica) Read() []list.Elem {
 	r.readSeq++
 	id := opid.OpID{Client: -r.id - 6000, Seq: r.readSeq}
 	w := r.Document()
-	if r.rec != nil {
-		r.rec.Record(r.name, ot.Read(id), w, r.processed.Clone())
+	if r.rec.On() {
+		r.rec.Record(r.name, ot.Read(id), w)
 	}
 	return w
 }

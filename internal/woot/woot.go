@@ -80,7 +80,7 @@ type Replica struct {
 	processed opid.Set
 	nextSeq   uint64
 	readSeq   uint64
-	rec       core.Recorder
+	rec       core.Tracker
 }
 
 // NewReplica creates a WOOT replica. The server passes id < 0.
@@ -90,7 +90,7 @@ func NewReplica(name string, id opid.ClientID, rec core.Recorder) *Replica {
 		id:        id,
 		index:     make(map[opid.OpID]int),
 		processed: opid.NewSet(),
-		rec:       rec,
+		rec:       core.NewTracker(rec),
 	}
 }
 
@@ -218,8 +218,8 @@ func (r *Replica) GenerateIns(val rune, pos int) (Effect, error) {
 	if err := r.Integrate(eff); err != nil {
 		return Effect{}, err
 	}
-	if r.rec != nil {
-		r.rec.Record(r.name, eff.Op, r.Document(), ctx)
+	if r.rec.On() {
+		r.rec.Record(r.name, eff.Op, r.Document())
 	}
 	return eff, nil
 }
@@ -238,8 +238,8 @@ func (r *Replica) GenerateDel(pos int) (Effect, error) {
 	if err := r.Integrate(eff); err != nil {
 		return Effect{}, err
 	}
-	if r.rec != nil {
-		r.rec.Record(r.name, eff.Op, r.Document(), ctx)
+	if r.rec.On() {
+		r.rec.Record(r.name, eff.Op, r.Document())
 	}
 	return eff, nil
 }
@@ -268,6 +268,7 @@ func (r *Replica) Integrate(eff Effect) error {
 		return fmt.Errorf("%s: unknown effect kind %d", r.name, eff.Kind)
 	}
 	r.processed = r.processed.Add(eff.Op.ID)
+	r.rec.Processed(eff.Op.ID)
 	return nil
 }
 
@@ -276,8 +277,8 @@ func (r *Replica) Read() []list.Elem {
 	r.readSeq++
 	id := opid.OpID{Client: -r.id - 7000, Seq: r.readSeq}
 	w := r.Document()
-	if r.rec != nil {
-		r.rec.Record(r.name, ot.Read(id), w, r.processed.Clone())
+	if r.rec.On() {
+		r.rec.Record(r.name, ot.Read(id), w)
 	}
 	return w
 }

@@ -109,7 +109,7 @@ func TestHistoryJSONRoundTrip(t *testing.T) {
 	// Checker outcomes identical.
 	for i, e := range h.Events {
 		b := back.Events[i]
-		if e.Replica != b.Replica || e.Op != b.Op || len(e.Returned) != len(b.Returned) || !e.Visible.Equal(b.Visible) {
+		if e.Replica != b.Replica || e.Op != b.Op || len(e.Returned) != len(b.Returned) || !h.Visible(i).Equal(back.Visible(i)) {
 			t.Fatalf("event %d differs after round trip:\n %v\n %v", i, e, b)
 		}
 	}
